@@ -108,20 +108,14 @@ mod tests {
     use crate::stochastic::{TraceAdversary, UniformRandomAdversary};
     use cyclesteal_core::bounds::w1_exact;
     use cyclesteal_core::prelude::*;
-    use cyclesteal_dp::{evaluate_policy, EvalOptions, SolveOptions, ValueTable};
+    use cyclesteal_dp::{evaluate_policy, CompressedOptimalPolicy, CompressedTable, EvalOptions};
     use std::sync::Arc;
 
     #[test]
     fn optimal_policy_vs_optimal_adversary_realizes_game_value() {
         let c = secs(1.0);
-        let table = Arc::new(ValueTable::solve(
-            c,
-            32,
-            secs(200.0),
-            3,
-            SolveOptions::default(),
-        ));
-        let policy = cyclesteal_dp::OptimalPolicy::new(table.clone());
+        let table = Arc::new(CompressedTable::solve_event_driven(c, 32, secs(200.0), 3));
+        let policy = CompressedOptimalPolicy::new(table.clone());
         for p in 0..=3u32 {
             for &u in &[10.0, 64.0, 150.0, 200.0] {
                 let opp = Opportunity::from_units(u, 1.0, p);
@@ -219,14 +213,8 @@ mod tests {
         // Monotonicity of the realized game value in p, under optimal play
         // (Prop 4.1(b) at the game level).
         let c = secs(1.0);
-        let table = Arc::new(ValueTable::solve(
-            c,
-            16,
-            secs(128.0),
-            4,
-            SolveOptions::default(),
-        ));
-        let policy = cyclesteal_dp::OptimalPolicy::new(table.clone());
+        let table = Arc::new(CompressedTable::solve_event_driven(c, 16, secs(128.0), 4));
+        let policy = CompressedOptimalPolicy::new(table.clone());
         let mut prev = Work::new(f64::MAX);
         for p in 0..=4u32 {
             let opp = Opportunity::from_units(128.0, 1.0, p);

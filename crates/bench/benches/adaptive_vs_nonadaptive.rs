@@ -24,7 +24,7 @@ fn main() {
     let q = 4u32;
     let p_max = 12u32;
     let max_u = 8_192.0;
-    let table = TableCache::global().get(secs(C), q, secs(max_u), p_max);
+    let table = TableCache::global().get_compressed(secs(C), q, secs(max_u), p_max);
 
     let policies: Vec<(&str, Box<dyn EpisodePolicy>)> = vec![
         ("adaptive §3.2", Box::new(AdaptiveGuideline::default())),

@@ -17,7 +17,7 @@ fn main() {
     report.line("E6 / Theorem 4.3 — equalized schedules vs the exact game value (c = 1)");
     report.line("");
 
-    let table = TableCache::global().get(secs(C), 16, secs(4_096.0), 4);
+    let table = TableCache::global().get_compressed(secs(C), 16, secs(4_096.0), 4);
 
     report.line(format!(
         "{:>8} {:>3} {:>6} {:>14} {:>14} {:>10} {:>12}",

@@ -1,26 +1,19 @@
 //! P1 — performance of the exact game solver.
 //!
-//! Covers the resolution ablation (`Q ∈ {4, 16, 64}`), the three dense
-//! inner loops (frontier sweep vs bisection vs linear scan), the
-//! breakpoint-compressed solver (tick-walking and event-driven), cached
-//! sweeps, the policy evaluators and query paths — and emits the
-//! headline numbers to `BENCH_dp.json` at the workspace root. Four
-//! acceptance points: at `(Q=32, p=16, L=10⁶ ticks)` the frontier sweep
-//! must beat bisection ≥ 3×, the intra-level parallel solve must beat
-//! the sequential sweep ≥ 1.5× at 4+ workers, and the compressed table
-//! must hold the same function in ≤ 1/10 the bytes; at
-//! `(Q=32, p=16, L=10⁹ ticks)` the event-driven build must finish in
-//! under a second and the run-backed (second-order) build must store
-//! ≤ 0.2× the flat list's breakpoint descriptors
-//! (`run_compressed_breakpoints` vs `event_driven_breakpoints`).
+//! Covers the resolution ablation (`Q ∈ {4, 16, 64}`), the two table
+//! builds (the tick-walking reference and the event-driven production
+//! solve), cached sweeps, the policy evaluators and query paths — and
+//! emits the headline numbers to `BENCH_dp.json` at the workspace root.
+//! The acceptance point is `(Q=32, p=16, L=10⁹ ticks)`: the event-driven
+//! build of the run-backed table, its deterministic structure counters
+//! (`event_count`, `event_driven_breakpoints`,
+//! `run_compressed_breakpoints` ≤ 0.2× the logical breakpoints,
+//! `run_memory_bytes`), the warm start that replaces it, and the
+//! serving and batch-simulation throughput on top.
 //!
 //! Quick mode (`CRITERION_QUICK=1` or `--quick`) is the CI smoke
 //! configuration: single-run measurements (`runs_per_measurement: 1`,
-//! stamped `"quick_mode": true`) and the 10⁶-tick *dense comparison*
-//! measurements — the bisection baseline and the dense-vs-compressed
-//! memory rebuild — are skipped so the job finishes in seconds; their
-//! JSON fields are simply absent (`bench_diff` skips fields missing on
-//! either side).
+//! stamped `"quick_mode": true`) and shorter broker loads.
 //!
 //! ```sh
 //! cargo bench -p cyclesteal-bench --bench perf_dp            # full
@@ -31,40 +24,16 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cyclesteal_core::prelude::*;
 use cyclesteal_dp::{
     evaluate_policy, evaluate_policy_compressed, CompressedEvalOptions, CompressedTable,
-    EvalOptions, InnerLoop, RowRepr, SolveConfig, SolveOptions, TableCache, ValueTable,
+    EvalOptions, SolveConfig, TableCache,
 };
 use std::hint::black_box;
 use std::time::Instant;
 
 /// The acceptance-criteria configuration: Q ticks/setup, interrupt
-/// budget, lifespan in ticks for the dense-vs-compressed point, and the
-/// deep lifespan only the event-driven build can touch.
+/// budget and the deep lifespan in ticks.
 const ACCEPT_Q: u32 = 32;
 const ACCEPT_P: u32 = 16;
-const ACCEPT_TICKS: i64 = 1_000_000;
 const ACCEPT_EVENT_TICKS: i64 = 1_000_000_000;
-
-fn accept_lifespan() -> Time {
-    // L ticks at Q ticks per unit-setup: U = L/Q time units.
-    secs(ACCEPT_TICKS as f64 / ACCEPT_Q as f64)
-}
-
-fn value_only(inner: InnerLoop) -> SolveOptions {
-    SolveOptions {
-        keep_policy: false,
-        inner,
-        ..SolveOptions::default()
-    }
-}
-
-/// The intra-level parallel configuration: `threads` workers sweep
-/// anchor-segmented l-ranges of each level (bit-identical output).
-fn value_only_parallel(threads: usize) -> SolveOptions {
-    SolveOptions {
-        threads,
-        ..value_only(InnerLoop::FrontierSweep)
-    }
-}
 
 fn bench_solve_resolution(c: &mut Criterion) {
     let mut group = c.benchmark_group("dp_solve_resolution");
@@ -72,48 +41,9 @@ fn bench_solve_resolution(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(3));
     for q in [4u32, 16, 64] {
         group.bench_with_input(BenchmarkId::from_parameter(q), &q, |b, &q| {
-            b.iter(|| {
-                ValueTable::solve(
-                    secs(1.0),
-                    q,
-                    secs(512.0),
-                    black_box(3),
-                    value_only(InnerLoop::FrontierSweep),
-                )
-            })
+            b.iter(|| CompressedTable::solve_event_driven(secs(1.0), q, secs(512.0), black_box(3)))
         });
     }
-    group.finish();
-}
-
-fn bench_inner_loop(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dp_inner_loop");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(3));
-    for (name, inner) in [
-        ("frontier_sweep", InnerLoop::FrontierSweep),
-        ("bisection", InnerLoop::Bisection),
-        ("linear_scan", InnerLoop::LinearScan),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                ValueTable::solve(secs(1.0), 16, secs(256.0), black_box(3), value_only(inner))
-            })
-        });
-    }
-    // The segmented intra-level sweep at an explicit 4 workers — the
-    // ablation point the acceptance report measures at p=16.
-    group.bench_function("parallel_sweep_t4", |b| {
-        b.iter(|| {
-            ValueTable::solve(
-                secs(1.0),
-                16,
-                secs(256.0),
-                black_box(3),
-                value_only_parallel(4),
-            )
-        })
-    });
     group.finish();
 }
 
@@ -125,44 +55,12 @@ fn bench_compressed_solve(c: &mut Criterion) {
         b.iter(|| CompressedTable::solve(secs(1.0), 16, secs(512.0), black_box(3)))
     });
     group.bench_function("event_q16_u512_p3", |b| {
-        b.iter(|| {
-            CompressedTable::solve_with(
-                secs(1.0),
-                16,
-                secs(512.0),
-                black_box(3),
-                value_only(InnerLoop::EventDriven),
-            )
-        })
+        b.iter(|| CompressedTable::solve_event_driven(secs(1.0), 16, secs(512.0), black_box(3)))
     });
     // The run-skipping regime only shows at depth: 10⁷ ticks, where the
     // tick walk pays 10⁷ steps per level and the event build ~k.
     group.bench_function("event_q16_u625000_p3", |b| {
-        b.iter(|| {
-            CompressedTable::solve_with(
-                secs(1.0),
-                16,
-                secs(625_000.0),
-                black_box(3),
-                value_only(InnerLoop::EventDriven),
-            )
-        })
-    });
-    // Same deep build, stored second-order (arithmetic runs): measures
-    // the compression pass the run-backed representation adds.
-    group.bench_function("event_runs_q16_u625000_p3", |b| {
-        b.iter(|| {
-            CompressedTable::solve_with(
-                secs(1.0),
-                16,
-                secs(625_000.0),
-                black_box(3),
-                SolveOptions {
-                    repr: RowRepr::Runs,
-                    ..value_only(InnerLoop::EventDriven)
-                },
-            )
-        })
+        b.iter(|| CompressedTable::solve_event_driven(secs(1.0), 16, secs(625_000.0), black_box(3)))
     });
     group.finish();
 }
@@ -206,7 +104,7 @@ fn bench_cached_sweep(c: &mut Criterion) {
         .collect();
     group.bench_function("solve_many_24cfg_3keys", |b| {
         b.iter(|| {
-            let cache = TableCache::with_options(value_only(InnerLoop::FrontierSweep));
+            let cache = TableCache::new();
             cache.solve_many(black_box(&configs))
         })
     });
@@ -234,27 +132,16 @@ fn bench_policy_eval(c: &mut Criterion) {
 }
 
 fn bench_queries(c: &mut Criterion) {
-    let table = ValueTable::solve(secs(1.0), 32, secs(1024.0), 3, SolveOptions::default());
-    let compressed = CompressedTable::solve(secs(1.0), 32, secs(1024.0), 3);
-    c.bench_function("dp_value_query_interpolated", |b| {
+    let table = CompressedTable::solve_event_driven(secs(1.0), 32, secs(1024.0), 3);
+    c.bench_function("dp_value_query_compressed", |b| {
         let mut x = 0.0f64;
         b.iter(|| {
             x = (x + 13.37) % 1024.0;
             black_box(table.value(3, secs(x)))
         })
     });
-    c.bench_function("dp_value_query_compressed", |b| {
-        let mut x = 0.0f64;
-        b.iter(|| {
-            x = (x + 13.37) % 1024.0;
-            black_box(compressed.value(3, secs(x)))
-        })
-    });
-    c.bench_function("dp_episode_reconstruction", |b| {
-        b.iter(|| table.episode(black_box(3), secs(1024.0)).unwrap())
-    });
     c.bench_function("dp_episode_reconstruction_compressed", |b| {
-        b.iter(|| compressed.episode(black_box(3), secs(1024.0)).unwrap())
+        b.iter(|| table.episode(black_box(3), secs(1024.0)).unwrap())
     });
 }
 
@@ -286,11 +173,8 @@ fn time_median<T>(runs: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 /// skips the heavyweight p=16 solves (and the JSON rewrite).
 ///
 /// Quick mode stamps `"quick_mode": true` with `runs_per_measurement: 1`
-/// and skips the 10⁶-tick dense comparison — the bisection baseline and
-/// the dense-memory rebuild — whose fields are then absent from the
-/// JSON; the frontier-sweep, parallel, compressed and event-driven
-/// timings are always emitted, so `bench_diff` can gate on them in
-/// every mode.
+/// and runs shorter broker loads; every field is emitted in both modes,
+/// so `bench_diff` can gate on them in every mode.
 fn acceptance_report(c: &mut Criterion) {
     if !c.filter_matches("dp_acceptance_report") {
         return;
@@ -298,84 +182,30 @@ fn acceptance_report(c: &mut Criterion) {
     let quick = std::env::var("CRITERION_QUICK").is_ok_and(|v| v == "1")
         || std::env::args().any(|a| a == "--quick");
     let runs = if quick { 1 } else { 3 };
-    let u = accept_lifespan();
     let deep_u = secs(ACCEPT_EVENT_TICKS as f64 / ACCEPT_Q as f64);
 
-    let (sweep_s, _) = time_median(runs, || {
-        ValueTable::solve(
-            secs(1.0),
-            ACCEPT_Q,
-            u,
-            ACCEPT_P,
-            value_only(InnerLoop::FrontierSweep),
-        )
-    });
-    // The intra-level parallel solve, at 4+ workers (the acceptance
-    // point asks for ≥ 1.5× over the sequential sweep). Bit-identical
-    // output; the speedup comes from the anchor-segmented fan-out plus
-    // the skeleton-first formulation of each level.
-    let parallel_threads = cyclesteal_par::default_threads().max(4);
-    let (parallel_s, _) = time_median(runs, || {
-        ValueTable::solve(
-            secs(1.0),
-            ACCEPT_Q,
-            u,
-            ACCEPT_P,
-            value_only_parallel(parallel_threads),
-        )
-    });
-    let parallel_speedup = sweep_s / parallel_s;
-    let (compressed_s, _) = time_median(runs, || {
-        CompressedTable::solve(secs(1.0), ACCEPT_Q, u, ACCEPT_P)
-    });
-    // The deep point: 1000× the dense lifespan, event-driven only; the
-    // last timed build doubles as the stats source.
-    let (event_s, deep) = time_median(runs, || {
-        CompressedTable::solve_with(
-            secs(1.0),
-            ACCEPT_Q,
-            deep_u,
-            ACCEPT_P,
-            value_only(InnerLoop::EventDriven),
-        )
+    // The production solve at the deep point; the last timed build
+    // doubles as the stats source.
+    let (run_s, deep) = time_median(runs, || {
+        CompressedTable::solve_event_driven(secs(1.0), ACCEPT_Q, deep_u, ACCEPT_P)
     });
     let event_count = deep.events();
     let deep_breakpoints: usize = (0..=ACCEPT_P).map(|p| deep.breakpoints(p)).sum();
-    let deep_flat_bytes = deep.memory_bytes();
-    // Same deep build, run-backed: second-order compression at the
-    // acceptance point. The build loop is identical (same events), only
-    // the stored representation changes — the acceptance criterion is
-    // run_compressed_breakpoints ≤ 0.2× event_driven_breakpoints.
-    let (run_s, deep_runs) = time_median(runs, || {
-        CompressedTable::solve_with(
-            secs(1.0),
-            ACCEPT_Q,
-            deep_u,
-            ACCEPT_P,
-            SolveOptions {
-                repr: RowRepr::Runs,
-                ..value_only(InnerLoop::EventDriven)
-            },
-        )
-    });
-    let run_breakpoints: usize = (0..=ACCEPT_P)
-        .map(|p| deep_runs.stored_breakpoints(p))
-        .sum();
-    let run_bytes = deep_runs.memory_bytes();
+    let run_breakpoints: usize = (0..=ACCEPT_P).map(|p| deep.stored_breakpoints(p)).sum();
+    let run_bytes = deep.memory_bytes();
     let run_k_ratio = run_breakpoints as f64 / deep_breakpoints as f64;
-    let run_mem_ratio = run_bytes as f64 / deep_flat_bytes as f64;
 
     // Warm start: snapshot the run-backed deep table once, then time a
     // fresh cache warming from disk *and serving its first query* — the
     // restart path of the serving layer. Acceptance: ≥ 10× faster than
-    // the cold run-compressed solve it replaces.
+    // the cold solve it replaces.
     use cyclesteal_store::CacheSnapshotExt;
     let snap_dir =
         std::env::temp_dir().join(format!("cyclesteal-bench-warm-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&snap_dir);
     {
         let cache = TableCache::new();
-        cache.admit_compressed(std::sync::Arc::new(deep_runs.clone()));
+        cache.admit_compressed(std::sync::Arc::new(deep));
         cache
             .snapshot_to_dir(&snap_dir)
             .expect("write warm-start snapshot");
@@ -526,15 +356,11 @@ fn acceptance_report(c: &mut Criterion) {
         use now_sim::{BatchAdversary, BatchConfig, BatchSim};
         let sim_l_ticks = 4_096i64;
         let sim_p = 3u32;
-        let sim_table = std::sync::Arc::new(CompressedTable::solve_with(
+        let sim_table = std::sync::Arc::new(CompressedTable::solve_event_driven(
             secs(1.0),
             ACCEPT_Q,
             secs(sim_l_ticks as f64 / ACCEPT_Q as f64),
             sim_p,
-            SolveOptions {
-                repr: RowRepr::Runs,
-                ..value_only(InnerLoop::EventDriven)
-            },
         ));
         let episodes = 1_000_000usize;
         let mk = |threads: usize| {
@@ -569,20 +395,14 @@ fn acceptance_report(c: &mut Criterion) {
         )
     };
 
-    println!("\n=== perf_dp acceptance (Q={ACCEPT_Q}, p={ACCEPT_P}, L={ACCEPT_TICKS} ticks) ===");
-    println!("frontier sweep solve : {sweep_s:.3} s");
     println!(
-        "parallel solve       : {parallel_s:.3} s at {parallel_threads} threads ({parallel_speedup:.2}× vs sequential sweep, target ≥ 1.5×)"
-    );
-    println!("compressed solve     : {compressed_s:.3} s");
-    println!(
-        "event-driven solve   : {event_s:.3} s at L={ACCEPT_EVENT_TICKS} ticks ({event_count} events, {deep_breakpoints} breakpoints; target < 1 s)"
+        "\n=== perf_dp acceptance (Q={ACCEPT_Q}, p={ACCEPT_P}, L={ACCEPT_EVENT_TICKS} ticks) ==="
     );
     println!(
-        "run-compressed solve : {run_s:.3} s — {run_breakpoints} stored descriptors ({run_k_ratio:.4}× of flat, target ≤ 0.2×), {run_bytes} B ({run_mem_ratio:.3}× of flat)"
+        "event-driven solve   : {run_s:.3} s ({event_count} events, {deep_breakpoints} breakpoints stored as {run_breakpoints} run descriptors = {run_k_ratio:.4}×, target ≤ 0.2×; {run_bytes} B)"
     );
     println!(
-        "warm start           : {warm_s:.3} s snapshot-load + first query ({warm_speedup:.1}× vs cold run-compressed solve, target ≥ 10×)"
+        "warm start           : {warm_s:.3} s snapshot-load + first query ({warm_speedup:.1}× vs cold solve, target ≥ 10×)"
     );
     println!(
         "broker throughput    : {serve_qps:.0} queries/s (batched, 4 client threads), batch p99 {serve_p99_us} µs"
@@ -598,15 +418,9 @@ fn acceptance_report(c: &mut Criterion) {
         "batch simulation     : {sim_episodes_per_s:.0} episodes/s ({sim_batch_episodes} seeded episodes at {sim_batch_threads} threads, bit-identical to 1 thread)"
     );
 
-    let mut fields = vec![
+    let fields = [
         format!("\"quick_mode\": {quick}"),
         format!("\"runs_per_measurement\": {runs}"),
-        format!("\"frontier_sweep_solve_s\": {sweep_s:.6}"),
-        format!("\"parallel_solve_s\": {parallel_s:.6}"),
-        format!("\"parallel_speedup\": {parallel_speedup:.3}"),
-        format!("\"parallel_threads\": {parallel_threads}"),
-        format!("\"compressed_solve_s\": {compressed_s:.6}"),
-        format!("\"event_driven_solve_s\": {event_s:.6}"),
         format!("\"event_driven_lifespan_ticks\": {ACCEPT_EVENT_TICKS}"),
         format!("\"event_count\": {event_count}"),
         format!("\"event_driven_breakpoints\": {deep_breakpoints}"),
@@ -625,44 +439,8 @@ fn acceptance_report(c: &mut Criterion) {
         format!("\"sim_batch_threads\": {sim_batch_threads}"),
     ];
 
-    if quick {
-        println!("quick mode: skipping the 10⁶-tick dense comparison (bisection + memory rebuild)");
-    } else {
-        let (bisect_s, _) = time_median(runs, || {
-            ValueTable::solve(
-                secs(1.0),
-                ACCEPT_Q,
-                u,
-                ACCEPT_P,
-                value_only(InnerLoop::Bisection),
-            )
-        });
-        let dense = ValueTable::solve(secs(1.0), ACCEPT_Q, u, ACCEPT_P, SolveOptions::default());
-        let compressed = CompressedTable::solve(secs(1.0), ACCEPT_Q, u, ACCEPT_P);
-        let dense_bytes = dense.memory_bytes();
-        let compressed_bytes = compressed.memory_bytes();
-        let breakpoints: usize = (0..=ACCEPT_P).map(|p| compressed.breakpoints(p)).sum();
-        let speedup = bisect_s / sweep_s;
-        let mem_ratio = dense_bytes as f64 / compressed_bytes as f64;
-        println!(
-            "bisection solve      : {bisect_s:.3} s   (sweep speedup {speedup:.2}×, target ≥ 3×)"
-        );
-        println!("dense memory         : {dense_bytes} B (values + argmax)");
-        println!(
-            "compressed memory    : {compressed_bytes} B across {breakpoints} breakpoints ({mem_ratio:.1}× smaller, target ≥ 10×)"
-        );
-        fields.extend([
-            format!("\"bisection_solve_s\": {bisect_s:.6}"),
-            format!("\"sweep_vs_bisection_speedup\": {speedup:.3}"),
-            format!("\"dense_memory_bytes\": {dense_bytes}"),
-            format!("\"compressed_memory_bytes\": {compressed_bytes}"),
-            format!("\"compressed_breakpoints\": {breakpoints}"),
-            format!("\"memory_ratio\": {mem_ratio:.3}"),
-        ]);
-    }
-
     let json = format!(
-        "{{\n  \"bench\": \"perf_dp\",\n  \"config\": {{ \"ticks_per_setup\": {ACCEPT_Q}, \"max_interrupts\": {ACCEPT_P}, \"lifespan_ticks\": {ACCEPT_TICKS} }},\n  {}\n}}\n",
+        "{{\n  \"bench\": \"perf_dp\",\n  \"config\": {{ \"ticks_per_setup\": {ACCEPT_Q}, \"max_interrupts\": {ACCEPT_P}, \"lifespan_ticks\": {ACCEPT_EVENT_TICKS} }},\n  {}\n}}\n",
         fields.join(",\n  ")
     );
     let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_dp.json");
@@ -673,7 +451,6 @@ fn acceptance_report(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_solve_resolution,
-    bench_inner_loop,
     bench_compressed_solve,
     bench_compressed_eval,
     bench_cached_sweep,

@@ -13,7 +13,7 @@ fn main() {
     let q = 8u32;
     let max_u = 512.0;
     let p_max = 6u32;
-    let table = TableCache::global().get(secs(C), q, secs(max_u), p_max);
+    let table = TableCache::global().get_compressed(secs(C), q, secs(max_u), p_max);
     let n = table.max_ticks();
     report.line(format!(
         "grid: {} states per level, p ≤ {p_max} (resolution c/{q}, U/c ≤ {max_u})",

@@ -20,7 +20,7 @@ fn main() {
     ));
     report.line("");
 
-    let table = TableCache::global().get(secs(C), 32, secs(256.0), 3);
+    let table = TableCache::global().get_compressed(secs(C), 32, secs(256.0), 3);
 
     for &u in &[64.0, 256.0] {
         for p in 1..=3u32 {

@@ -23,7 +23,7 @@ fn main() {
     // One DP + one policy evaluation cover every U below the cap; larger
     // U columns use the closed forms (which the capped columns validate).
     let dp_cap = 20_000.0;
-    let table = TableCache::global().get(secs(C), 16, secs(dp_cap), 1);
+    let table = TableCache::global().get_compressed(secs(C), 16, secs(dp_cap), 1);
     let guideline = AdaptiveGuideline::default();
     let ga = evaluate_policy(
         &guideline,

@@ -74,7 +74,7 @@ fn main() {
     let p_max = 5u32;
     let max_u = 16_384.0;
     // One cached solve serves every (U/c, p) cell in the sweep below.
-    let table = TableCache::global().get(secs(C), q, secs(max_u), p_max);
+    let table = TableCache::global().get_compressed(secs(C), q, secs(max_u), p_max);
     let policies: Vec<(&str, Box<dyn EpisodePolicy>)> = vec![
         ("arithmetic §3.2", Box::new(AdaptiveGuideline::default())),
         ("self-similar", Box::new(SelfSimilarGuideline::default())),

@@ -11,16 +11,16 @@
 //!     baseline/BENCH_dp.json BENCH_dp.json --threshold 0.10
 //! ```
 //!
-//! Gated keys: the wall-clock solve timings `frontier_sweep_solve_s`,
-//! `parallel_solve_s`, `compressed_solve_s`, `event_driven_solve_s` and
-//! the serving layer's `warm_start_s` and batch tail latency
-//! `serve_p99_us` (lower is better; shared CI runners make these noisy,
-//! so treat a timing failure as a prompt to re-run before believing
-//! it), the broker throughput `serve_qps` and the batch simulator's
-//! `sim_episodes_per_s` (**higher** is better — the gate fails on a
-//! drop beyond the threshold), plus the deterministic
-//! structure counters —
-//! `event_count` (the event-driven build's loop iterations) and the
+//! Gated keys: the wall-clock production solve timing
+//! `run_compressed_solve_s` (the event-driven build of the run-backed
+//! `10⁹`-tick table), the serving layer's `warm_start_s` and batch tail
+//! latency `serve_p99_us` (lower is better; shared CI runners make these
+//! noisy, so treat a timing failure as a prompt to re-run before
+//! believing it), the broker throughput `serve_qps` and the batch
+//! simulator's `sim_episodes_per_s` (**higher** is better — the gate
+//! fails on a drop beyond the threshold), plus the deterministic
+//! structure counters — `event_count` (the event-driven build's loop
+//! iterations) and the
 //! second-order compression sizes `run_compressed_breakpoints` /
 //! `run_memory_bytes` — which are fully reproducible for a given code
 //! revision and therefore catch algorithmic regressions with zero
@@ -38,8 +38,8 @@
 //! (absent in baseline) — gated from the next baseline on`) and never
 //! fails the gate, so landing a new measurement does not require a
 //! manual baseline refresh. Keys missing from the fresh snapshot (or
-//! both sides) are likewise skipped with a note — quick mode
-//! intentionally omits the dense-comparison fields. A missing baseline
+//! both sides) are likewise skipped with a note — fields a later
+//! `perf_dp` retires simply stop being compared. A missing baseline
 //! *file* passes with a note so the first run of a fresh repository (or
 //! a fork without artifact history) is green.
 //!
@@ -49,22 +49,16 @@
 use std::process::ExitCode;
 
 /// Keys gated on regression where **lower is better**, in report
-/// order. The `_s` keys are wall-clock seconds; `event_count`,
-/// `run_compressed_breakpoints` and `run_memory_bytes` are the
-/// deterministic counters of the event-driven build and its run-backed
-/// storage; `warm_start_s` is the snapshot-load + first-query restart
-/// path of the serving layer and `serve_p99_us` the broker's batch
-/// tail latency under the throughput load. `parallel_solve_s` is the
-/// intra-level
-/// segmented solve at 4+ workers (its companion `parallel_speedup` is a
-/// higher-is-better ratio and deliberately not gated — the timing
-/// already is, and `warm_start_speedup` is ungated for the same
-/// reason).
-const GATED_KEYS_LOWER: [&str; 9] = [
-    "frontier_sweep_solve_s",
-    "parallel_solve_s",
-    "compressed_solve_s",
-    "event_driven_solve_s",
+/// order. The `_s` keys are wall-clock seconds: `run_compressed_solve_s`
+/// is the production solve and `warm_start_s` the snapshot-load +
+/// first-query restart path of the serving layer (its companion
+/// `warm_start_speedup` is a ratio of two gated timings and deliberately
+/// not gated itself). `event_count`, `run_compressed_breakpoints` and
+/// `run_memory_bytes` are the deterministic counters of that solve and
+/// its run-backed storage, which explain its timing; `serve_p99_us` is
+/// the broker's batch tail latency under the throughput load.
+const GATED_KEYS_LOWER: [&str; 6] = [
+    "run_compressed_solve_s",
     "event_count",
     "run_compressed_breakpoints",
     "run_memory_bytes",
@@ -379,14 +373,11 @@ mod tests {
 
     #[test]
     fn newly_introduced_gated_field_is_reported_not_failed() {
-        // A baseline from before this PR: no run_compressed_* fields.
-        let baseline = snapshot(&[
-            ("frontier_sweep_solve_s", 0.15),
-            ("event_count", 55_969_025.0),
-        ]);
+        // A baseline from before the run-backed fields existed.
+        let baseline = snapshot(&[("warm_start_s", 0.04), ("event_count", 55_969_025.0)]);
         // A fresh snapshot that carries the new gated fields.
         let fresh = snapshot(&[
-            ("frontier_sweep_solve_s", 0.15),
+            ("warm_start_s", 0.04),
             ("event_count", 55_969_025.0),
             ("run_compressed_breakpoints", 500_000.0),
             ("run_memory_bytes", 16_000_000.0),
@@ -410,15 +401,15 @@ mod tests {
 
     #[test]
     fn regression_beyond_threshold_fails_and_improvement_does_not() {
-        let baseline = snapshot(&[("event_count", 100.0), ("frontier_sweep_solve_s", 1.0)]);
-        let fresh = snapshot(&[("event_count", 120.0), ("frontier_sweep_solve_s", 0.5)]);
+        let baseline = snapshot(&[("event_count", 100.0), ("run_compressed_solve_s", 1.0)]);
+        let fresh = snapshot(&[("event_count", 120.0), ("run_compressed_solve_s", 0.5)]);
         let results = compare(&baseline, &fresh, 0.10);
         assert!(matches!(
             verdict_for(&results, "event_count"),
             Verdict::Regression { delta, .. } if (*delta - 0.2).abs() < 1e-12
         ));
         assert!(matches!(
-            verdict_for(&results, "frontier_sweep_solve_s"),
+            verdict_for(&results, "run_compressed_solve_s"),
             Verdict::Improved { .. }
         ));
     }
@@ -545,9 +536,9 @@ mod tests {
     fn serving_fields_are_new_against_a_pre_serve_baseline() {
         // A baseline from before the serving subsystem: the new gated
         // fields must report, never fail.
-        let baseline = snapshot(&[("frontier_sweep_solve_s", 0.11)]);
+        let baseline = snapshot(&[("run_compressed_solve_s", 1.1)]);
         let fresh = snapshot(&[
-            ("frontier_sweep_solve_s", 0.11),
+            ("run_compressed_solve_s", 1.1),
             ("warm_start_s", 0.05),
             ("serve_qps", 150_000.0),
             ("serve_qps_64c", 120_000.0),
@@ -562,18 +553,18 @@ mod tests {
     }
 
     #[test]
-    fn quick_mode_omissions_and_corrupt_baselines_are_skipped() {
-        let baseline = snapshot(&[("compressed_solve_s", 0.0), ("event_driven_solve_s", 0.7)]);
-        let fresh = snapshot(&[("compressed_solve_s", 0.2)]);
+    fn missing_fields_and_corrupt_baselines_are_skipped() {
+        let baseline = snapshot(&[("run_compressed_solve_s", 0.0), ("warm_start_s", 0.04)]);
+        let fresh = snapshot(&[("run_compressed_solve_s", 0.2)]);
         let results = compare(&baseline, &fresh, 0.10);
         assert_eq!(
-            verdict_for(&results, "compressed_solve_s"),
+            verdict_for(&results, "run_compressed_solve_s"),
             &Verdict::Skipped {
                 why: "non-positive baseline"
             }
         );
         assert_eq!(
-            verdict_for(&results, "event_driven_solve_s"),
+            verdict_for(&results, "warm_start_s"),
             &Verdict::Skipped {
                 why: "absent in fresh snapshot"
             }

@@ -1,5 +1,5 @@
 use cyclesteal_core::prelude::*;
-use cyclesteal_dp::{SolveOptions, ValueTable};
+use cyclesteal_dp::CompressedTable;
 
 fn main() {
     // Predicted: beta_p = (beta_{p-1} + sqrt(beta_{p-1}^2+4))/2, beta_1 = 1.
@@ -9,14 +9,7 @@ fn main() {
         beta.push((b + (b * b + 4.0).sqrt()) / 2.0);
     }
     println!("predicted beta: {:?}", &beta[1..]);
-    let opts = SolveOptions {
-        keep_policy: false,
-        // Deep single solve: let the intra-level segmented sweep use the
-        // machine's workers (CYCLESTEAL_THREADS still overrides).
-        threads: 0,
-        ..SolveOptions::default()
-    };
-    let table = ValueTable::solve(secs(1.0), 8, secs(131072.0), 4, opts);
+    let table = CompressedTable::solve_event_driven(secs(1.0), 8, secs(131072.0), 4);
     for p in 1..=4u32 {
         print!("p={p} measured:");
         for &u in &[4096.0, 16384.0, 65536.0, 131072.0] {

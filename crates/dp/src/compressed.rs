@@ -1,4 +1,4 @@
-//! Breakpoint-compressed `W^(p)[L]` tables.
+//! Run-backed `W^(p)[L]` tables: the one table type of the solver.
 //!
 //! ## Why rows compress
 //!
@@ -7,57 +7,70 @@
 //! a tick of work (slope 1) or loses it to the adversary (slope 0). The
 //! total number of slope-0 ticks in a row is exactly the row's final loss
 //! `L − W^(p)(L)`, which the paper bounds by `O(√(QL) + pQ)` — vanishing
-//! relative to `L`. A row is therefore stored as its **flat-tick
-//! skeleton** (the positions where the slope is 0, i.e. the breakpoints
-//! of the piecewise-linear row) plus the zero-region prefix, and
-//! evaluated by rank query: `W(l) = (l − z) − #{flats ≤ l}` for `l` past
-//! the zero region `[0, z]`.
+//! relative to `L`. A row is therefore stored as its **flat ticks** (the
+//! positions where the slope is 0, i.e. the breakpoints of the
+//! piecewise-linear row) past the zero-region prefix, and evaluated by
+//! rank query: `W(l) = (l − z) − #{flats ≤ l}` for `l` past the zero
+//! region `[0, z]`.
 //!
-//! ## Two skeleton representations
+//! The flat ticks themselves recur near-arithmetically (once per optimal
+//! period), so each row stores them as **arithmetic runs** (start,
+//! fixed-point common difference, length) plus one `i8` residual per
+//! jittery flat — see [`crate::run`]. Stored descriptors track *regime
+//! changes* of the row rather than individual breakpoints, and memory
+//! drops to ≈1 byte per breakpoint. The encoding is lossless: every
+//! query reads the exact flat ticks back.
 //!
-//! [`RowRepr`] selects how the flat ticks are stored:
+//! ## Two builds, one table
 //!
-//! * **Breakpoints** — one sorted `i64` per flat tick. First-order
-//!   compression: `O(k)` words, `k ≪ L`.
-//! * **Runs** — second-order compression ([`crate::run`]): the flats
-//!   are grouped into arithmetic runs (start, fixed-point common
-//!   difference, length) with one `i8` residual per jittery flat, so
-//!   the stored descriptor count tracks *regime changes* of the row
-//!   rather than individual breakpoints and memory drops to ≈1 byte
-//!   per breakpoint.
+//! * [`CompressedTable::solve_event_driven`] — the production build
+//!   ([`crate::event`]): between breakpoints every sweep quantity is
+//!   linear in `L`, so the builder jumps event to event in
+//!   `O(p·k log k)` time. The cache, store, sim and serving layers all
+//!   solve through it.
+//! * [`CompressedTable::solve`] — the independent **tick-walking
+//!   reference**: the monotone frontier sweep of the §4 recursion, one
+//!   tick at a time (`O(p·L)`), each level read through the previous
+//!   level's runs and compressed once complete. Slow, but it shares none
+//!   of the event builder's span formulas, which is what makes it worth
+//!   checking served answers against.
 //!
-//! Both are lossless; every query path reads through the shared
-//! `SkelCursor`/rank interface, so values, argmax and episodes are
-//! bit-identical across representations (and to the dense
-//! [`crate::ValueTable`]) — the equivalence property suite pins all of
-//! it down.
+//! Both emit identical rows; the equivalence suite
+//! (`tests/equivalence_props.rs`) pins the values, argmax and episodes
+//! of both against a dense bisection/linear-scan oracle.
 //!
-//! ## Building level `p` on the skeleton of level `p−1`
+//! ## The frontier sweep
 //!
-//! The builder runs the same monotone frontier sweep as the dense solver
-//! (see [`crate::value`]): the crossing residual `s*(l)` only advances
-//! with `l`, and every value the recursion reads — `W^(p−1)` and `W^(p)`
-//! at the frontier, `W^(p)(l−1)` for the wait candidate — is read at a
-//! (near-)monotone position. Lagging cursors into the skeletons serve
-//! those reads in `O(1)` amortized, so level `p` is built directly from
-//! level `p−1`'s compressed skeleton in `O(L)` time and `O(k)` memory,
-//! never materializing a dense row. Total: `O(p·L)` time, `O(p·k)`
-//! memory with `k ≪ L` — lifespans in the `10^8`-tick range fit in a few
-//! megabytes where the dense arena would need tens of gigabytes.
+//! Within an episode no information reaches the owner, so the game
+//! satisfies
+//!
+//! ```text
+//! W^(p)(L) = max_{0 < t ≤ L} min( W^(p−1)(L − t),          // interrupted
+//!                                 (t ⊖ c) + W^(p)(L − t) ) // completed
+//! W^(0)(L) = L ⊖ c
+//! ```
+//!
+//! On `t ∈ [Q+1, L]` the interrupted branch is nonincreasing and the
+//! completed branch nondecreasing, so the maximum sits at their
+//! crossing. Substituting `s = L − t`, the crossing condition reads
+//! `h(s) ≤ L − Q` for `h(s) = s + W^(p−1)(s) − W^(p)(s)`, and `h` is
+//! nondecreasing in `s` (both rows are 1-Lipschitz): as `L` grows the
+//! crossing residual `s*(L)` only advances. Nonproductive lengths
+//! `t ≤ Q` are dominated by the 1-tick "wait" candidate `W^(p)(L−1)`.
 //!
 //! ## Policy queries without an argmax arena
 //!
 //! The optimal first period at `(p, l)` is re-derived at query time from
-//! the compressed rows alone: binary search the crossing residual
-//! (`h(s) = s + W^(p−1)(s) − W^(p)(s)` is nondecreasing), then apply the
-//! dense solver's exact tie-breaks. [`CompressedTable::episode`] is
-//! therefore bit-identical to the dense [`crate::ValueTable::episode`]
-//! at `O(m log L log k)` cost per reconstruction and zero bytes of
-//! policy storage.
+//! the rows alone: binary search the crossing residual, then apply the
+//! sweep's exact tie-breaks (the crossing `t*` or one tick before it,
+//! `t*` on ties; a real period over waiting on ties; a zero-value state
+//! burns its whole lifespan). [`CompressedTable::episode`] costs
+//! `O(m log L log k)` per reconstruction and zero bytes of policy
+//! storage.
 
 use crate::grid::Grid;
-use crate::run::{RunCursor, RunFlatIter, RunRow, NO_FLAT};
-use crate::value::RowRepr;
+use crate::profile::{time_opt, Phase, PhaseRecorder};
+use crate::run::{RunCursor, RunRow};
 use cyclesteal_core::error::{ModelError, Result};
 use cyclesteal_core::model::Opportunity;
 use cyclesteal_core::policy::{EpisodePolicy, WorkOracle};
@@ -98,78 +111,30 @@ pub fn expand_value_runs(runs: &[ValueRun]) -> Vec<i64> {
     out
 }
 
-/// How one compressed row's flat ticks are stored: the first-order flat
-/// list or the second-order arithmetic runs of [`crate::run`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum RowSkeleton {
-    /// Sorted flat ticks, one word per breakpoint.
-    Flats(Vec<i64>),
-    /// Arithmetic runs + residual stream (see [`crate::run::RunRow`]).
-    Runs(RunRow),
-}
-
 /// One compressed row: the zero-region prefix plus the flat ticks past
-/// it, in either skeleton representation. Shared with the event-driven
-/// builder in [`crate::event`], which emits rows in this exact form.
+/// it, stored as arithmetic runs. Shared with the event-driven builder
+/// in [`crate::event`], which emits rows in this exact form.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct CompressedRow {
     /// Largest `l` with `W(l) = 0` (the whole row when never positive).
     pub(crate) zero_until: i64,
-    skel: RowSkeleton,
+    /// The flat ticks past the zero region.
+    pub(crate) runs: RunRow,
 }
 
 impl CompressedRow {
     /// A row with no flat ticks past the zero region.
     pub(crate) fn empty(zero_until: i64) -> CompressedRow {
-        CompressedRow::from_flats(zero_until, Vec::new())
-    }
-
-    /// Wraps a sorted flat-tick list (first-order representation).
-    pub(crate) fn from_flats(zero_until: i64, flats: Vec<i64>) -> CompressedRow {
         CompressedRow {
             zero_until,
-            skel: RowSkeleton::Flats(flats),
-        }
-    }
-
-    /// Wraps a run-compressed skeleton (second-order representation).
-    pub(crate) fn from_runs(zero_until: i64, runs: RunRow) -> CompressedRow {
-        CompressedRow {
-            zero_until,
-            skel: RowSkeleton::Runs(runs),
-        }
-    }
-
-    /// Re-encodes the row into `repr` (no-op when already there); the
-    /// flat ticks — and therefore every query — are unchanged.
-    pub(crate) fn into_repr(self, repr: RowRepr) -> CompressedRow {
-        match (repr, self.skel) {
-            (RowRepr::Runs, RowSkeleton::Flats(flats)) => {
-                CompressedRow::from_runs(self.zero_until, RunRow::compress(flats.into_iter()))
-            }
-            (_, skel) => CompressedRow {
-                zero_until: self.zero_until,
-                skel,
-            },
+            runs: RunRow::default(),
         }
     }
 
     /// Number of flat ticks (row loss past the zero region).
     #[inline]
     pub(crate) fn count(&self) -> i64 {
-        match &self.skel {
-            RowSkeleton::Flats(flats) => flats.len() as i64,
-            RowSkeleton::Runs(runs) => runs.count(),
-        }
-    }
-
-    /// `#flats ≤ pos` by binary search.
-    #[inline]
-    pub(crate) fn rank_le(&self, pos: i64) -> i64 {
-        match &self.skel {
-            RowSkeleton::Flats(flats) => flats.partition_point(|&f| f <= pos) as i64,
-            RowSkeleton::Runs(runs) => runs.rank_le(pos),
-        }
+        self.runs.count()
     }
 
     /// `W(l)` by rank query over the flat ticks.
@@ -178,261 +143,84 @@ impl CompressedRow {
         if l <= self.zero_until {
             return 0;
         }
-        (l - self.zero_until) - self.rank_le(l)
+        (l - self.zero_until) - self.runs.rank_le(l)
     }
 
     /// A fresh forward cursor over this row's flat ticks.
-    pub(crate) fn cursor(&self) -> SkelCursor<'_> {
-        match &self.skel {
-            RowSkeleton::Flats(flats) => SkelCursor::Flats(FlatsCursor {
-                zero_until: self.zero_until,
-                flats,
-                idx: 0,
-            }),
-            RowSkeleton::Runs(runs) => SkelCursor::Runs(RunsCursor {
-                zero_until: self.zero_until,
-                runs,
-                cur: RunCursor::default(),
-            }),
-        }
-    }
-
-    /// The row's skeleton — lets monomorphizing callers (the event
-    /// builder) dispatch once per level instead of once per read.
-    pub(crate) fn skeleton(&self) -> &RowSkeleton {
-        &self.skel
-    }
-
-    /// A fresh monomorphic flat-list cursor (callers match on
-    /// [`Self::skeleton`] first).
-    pub(crate) fn flats_cursor_over<'a>(&self, flats: &'a [i64]) -> FlatsCursor<'a> {
-        FlatsCursor {
+    pub(crate) fn cursor(&self) -> RowCursor<'_> {
+        RowCursor {
             zero_until: self.zero_until,
-            flats,
-            idx: 0,
-        }
-    }
-
-    /// A fresh monomorphic run cursor (callers match on
-    /// [`Self::skeleton`] first).
-    pub(crate) fn runs_cursor_over<'a>(&self, runs: &'a RunRow) -> RunsCursor<'a> {
-        RunsCursor {
-            zero_until: self.zero_until,
-            runs,
+            runs: &self.runs,
             cur: RunCursor::default(),
         }
     }
 
-    /// The rank `#flats ≤ pos` plus an iterator over the flats strictly
-    /// greater than `pos`, in increasing order — the expansion interface
-    /// of the parallel dense fill.
-    pub(crate) fn flats_after(&self, pos: i64) -> (i64, FlatIter<'_>) {
-        match &self.skel {
-            RowSkeleton::Flats(flats) => {
-                let idx = flats.partition_point(|&f| f <= pos);
-                (idx as i64, FlatIter::Flats(flats[idx..].iter()))
-            }
-            RowSkeleton::Runs(runs) => {
-                let mut it = runs.iter();
-                let rank = it.seek_after(pos);
-                (rank, FlatIter::Runs(it))
-            }
-        }
-    }
-
-    /// Logical breakpoints: flat ticks + the zero-region edge. The
-    /// resolution-independent first-order row size, whatever the storage.
+    /// Logical breakpoints: flat ticks + the zero-region edge — the
+    /// resolution-independent first-order row size.
     pub(crate) fn breakpoints(&self) -> usize {
         self.count() as usize + 1
     }
 
-    /// Breakpoints *stored* as explicit descriptors: flat ticks + 1 for
-    /// the flat list, arithmetic-run descriptors + 1 for the run form —
-    /// the second-order `k` the bench reports.
+    /// Breakpoints *stored* as explicit descriptors: arithmetic-run
+    /// descriptors + 1 for the zero edge — the second-order `k` the
+    /// bench reports.
     pub(crate) fn stored_breakpoints(&self) -> usize {
-        match &self.skel {
-            RowSkeleton::Flats(flats) => flats.len() + 1,
-            RowSkeleton::Runs(runs) => runs.descriptors() + 1,
-        }
+        self.runs.descriptors() + 1
     }
 
     pub(crate) fn memory_bytes(&self) -> usize {
-        // Capacity, not len: the accounting must reflect real heap use
-        // (build shrinks the vecs, so the two normally coincide).
-        std::mem::size_of::<CompressedRow>()
-            + match &self.skel {
-                RowSkeleton::Flats(flats) => flats.capacity() * std::mem::size_of::<i64>(),
-                RowSkeleton::Runs(runs) => runs.memory_bytes(),
-            }
+        std::mem::size_of::<CompressedRow>() + self.runs.memory_bytes()
     }
 }
 
-/// Iterator over a row's flat ticks past a seek position, either
-/// representation.
-pub(crate) enum FlatIter<'a> {
-    /// Remaining flats of a flat-list skeleton.
-    Flats(std::slice::Iter<'a, i64>),
-    /// Positioned iterator over a run skeleton.
-    Runs(RunFlatIter<'a>),
-}
-
-impl Iterator for FlatIter<'_> {
-    type Item = i64;
-
-    #[inline]
-    fn next(&mut self) -> Option<i64> {
-        match self {
-            FlatIter::Flats(it) => it.next().copied(),
-            FlatIter::Runs(it) => it.next(),
-        }
-    }
-}
-
-/// Forward-cursor interface over a row's flat ticks: rank
-/// (`#flats ≤ pos`), membership, next-flat and value queries in `O(1)`
-/// amortized for positions that move (nearly) monotonically forward,
-/// tolerating the small retreats the frontier sweep performs when it
-/// interleaves `s` and `s+1`. Implemented by one concrete cursor per
-/// skeleton representation so hot build loops (the event builder makes
-/// a few of these calls per event) monomorphize to the direct slice or
-/// run walk instead of dispatching per call; [`SkelCursor`] is the
-/// type-erased wrapper for paths where one branch per call is fine.
-pub(crate) trait SkelRead {
-    /// The row's zero-region edge.
-    fn zero_until(&self) -> i64;
-    /// `#flats ≤ pos`; positions the cursor for the sibling queries.
-    fn rank_le(&mut self, pos: i64) -> i64;
-    /// Whether `pos` itself is a flat tick. Only valid immediately
-    /// after [`Self::rank_le`] with the same `pos`.
-    fn is_flat(&self, pos: i64) -> bool;
-    /// The `k`-th flat tick strictly past the last [`Self::rank_le`]
-    /// position (`k = 0` ⇒ the first), or [`NO_FLAT`]. Only valid
-    /// immediately after [`Self::rank_le`].
-    fn peek(&self, k: u32) -> i64;
-    /// `W(pos)` through the cursor (amortized-`O(1)` staircase read).
-    #[inline]
-    fn value(&mut self, pos: i64) -> i64 {
-        let zero = self.zero_until();
-        let rank = self.rank_le(pos);
-        if pos <= zero {
-            0
-        } else {
-            (pos - zero) - rank
-        }
-    }
-}
-
-/// [`SkelRead`] over a flat-list skeleton.
+/// Forward cursor over a row's flat ticks: rank (`#flats ≤ pos`),
+/// membership, next-flat and value queries in `O(1)` amortized for
+/// positions that move (nearly) monotonically forward, tolerating the
+/// small retreats the frontier sweep performs when it interleaves `s`
+/// and `s+1`.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct FlatsCursor<'a> {
-    zero_until: i64,
-    flats: &'a [i64],
-    /// `#flats ≤` the last query position.
-    idx: usize,
-}
-
-impl SkelRead for FlatsCursor<'_> {
-    #[inline]
-    fn zero_until(&self) -> i64 {
-        self.zero_until
-    }
-
-    #[inline]
-    fn rank_le(&mut self, pos: i64) -> i64 {
-        while self.idx > 0 && self.flats[self.idx - 1] > pos {
-            self.idx -= 1;
-        }
-        while self.idx < self.flats.len() && self.flats[self.idx] <= pos {
-            self.idx += 1;
-        }
-        self.idx as i64
-    }
-
-    #[inline]
-    fn is_flat(&self, pos: i64) -> bool {
-        self.idx > 0 && self.flats[self.idx - 1] == pos
-    }
-
-    #[inline]
-    fn peek(&self, k: u32) -> i64 {
-        self.flats
-            .get(self.idx + k as usize)
-            .copied()
-            .unwrap_or(NO_FLAT)
-    }
-}
-
-/// [`SkelRead`] over a run-backed skeleton.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct RunsCursor<'a> {
+pub(crate) struct RowCursor<'a> {
     zero_until: i64,
     runs: &'a RunRow,
     cur: RunCursor,
 }
 
-impl SkelRead for RunsCursor<'_> {
+impl RowCursor<'_> {
+    /// The row's zero-region edge.
     #[inline]
-    fn zero_until(&self) -> i64 {
+    pub(crate) fn zero_until(&self) -> i64 {
         self.zero_until
     }
 
+    /// `#flats ≤ pos`; positions the cursor for the sibling queries.
     #[inline]
-    fn rank_le(&mut self, pos: i64) -> i64 {
+    pub(crate) fn rank_le(&mut self, pos: i64) -> i64 {
         self.cur.rank_le(self.runs, pos)
     }
 
+    /// Whether `pos` itself is a flat tick. Only valid immediately
+    /// after [`Self::rank_le`] with the same `pos`.
     #[inline]
-    fn is_flat(&self, pos: i64) -> bool {
+    pub(crate) fn is_flat(&self, pos: i64) -> bool {
         self.cur.is_flat(self.runs, pos)
     }
 
+    /// The `k`-th flat tick strictly past the last [`Self::rank_le`]
+    /// position (`k = 0` ⇒ the first), or [`crate::run::NO_FLAT`]. Only valid
+    /// immediately after [`Self::rank_le`].
     #[inline]
-    fn peek(&self, k: u32) -> i64 {
+    pub(crate) fn peek(&self, k: u32) -> i64 {
         self.cur.peek(self.runs, k)
     }
-}
 
-/// Type-erased forward cursor over a [`CompressedRow`] — one predictable
-/// branch per call, for readers (like the parallel dense fill's replay)
-/// that are not monomorphized per representation.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum SkelCursor<'a> {
-    /// Cursor into a flat-list skeleton.
-    Flats(FlatsCursor<'a>),
-    /// Cursor into a run-backed skeleton.
-    Runs(RunsCursor<'a>),
-}
-
-impl SkelRead for SkelCursor<'_> {
+    /// `W(pos)` through the cursor (amortized-`O(1)` staircase read).
     #[inline]
-    fn zero_until(&self) -> i64 {
-        match self {
-            SkelCursor::Flats(c) => c.zero_until(),
-            SkelCursor::Runs(c) => c.zero_until(),
-        }
-    }
-
-    #[inline]
-    fn rank_le(&mut self, pos: i64) -> i64 {
-        match self {
-            SkelCursor::Flats(c) => c.rank_le(pos),
-            SkelCursor::Runs(c) => c.rank_le(pos),
-        }
-    }
-
-    #[inline]
-    fn is_flat(&self, pos: i64) -> bool {
-        match self {
-            SkelCursor::Flats(c) => c.is_flat(pos),
-            SkelCursor::Runs(c) => c.is_flat(pos),
-        }
-    }
-
-    #[inline]
-    fn peek(&self, k: u32) -> i64 {
-        match self {
-            SkelCursor::Flats(c) => c.peek(k),
-            SkelCursor::Runs(c) => c.peek(k),
+    pub(crate) fn value(&mut self, pos: i64) -> i64 {
+        let rank = self.rank_le(pos);
+        if pos <= self.zero_until {
+            0
+        } else {
+            (pos - self.zero_until) - rank
         }
     }
 }
@@ -463,45 +251,12 @@ impl FlatSliceCursor {
     }
 }
 
-/// `W^(p)[L]` for all `p ≤ p_max`, `L ≤ L_max`, stored as breakpoint
-/// skeletons: `O(p·k)` memory with `k ≪ L`, exact agreement with the
-/// dense [`crate::ValueTable`] on values, argmax and episodes.
-///
-/// Equality is **structural**: two tables compare equal only when every
-/// field — grid, extent, representation, event count and each row's
-/// skeleton storage — matches exactly. This is the bit-identical
-/// round-trip contract of the persistence layer
-/// (`from_parts(to_parts(t)) == t`, see [`crate::snapshot`]); two
-/// tables holding the same *values* in different representations are
-/// deliberately unequal.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CompressedTable {
-    pub(crate) grid: Grid,
-    pub(crate) max_ticks: i64,
-    pub(crate) max_interrupts: u32,
-    pub(crate) repr: RowRepr,
-    pub(crate) rows: Vec<CompressedRow>,
-    /// Build-loop iterations summed over all levels: one per tick for the
-    /// tick-walking build, one per breakpoint event for the event-driven
-    /// build (see [`Self::events`]).
-    pub(crate) events: u64,
-}
-
-/// Builds level `p` from the completed level `p−1` skeleton by the
-/// monotone frontier sweep, recording only slope-0 ticks. Walks every
-/// tick; the run-skipping alternative is [`crate::event`]. Always emits
-/// the flat-list form — [`CompressedRow::into_repr`] re-encodes when the
-/// solve asked for runs. Monomorphized over the prev representation so
-/// the inner loop (4 reads per tick, `O(p·L)` of them) compiles to the
-/// direct slice walk for flat-list rows.
-pub(crate) fn build_level(prev: &CompressedRow, n: i64, q: i64) -> CompressedRow {
-    match &prev.skel {
-        RowSkeleton::Flats(flats) => build_level_from(prev.flats_cursor_over(flats), n, q),
-        RowSkeleton::Runs(runs) => build_level_from(prev.runs_cursor_over(runs), n, q),
-    }
-}
-
-fn build_level_from<R: SkelRead>(mut prev_at: R, n: i64, q: i64) -> CompressedRow {
+/// Walks level `p` tick by tick from the completed level `p−1` by the
+/// monotone frontier sweep, recording only slope-0 ticks. Returns the
+/// zero-region edge and the sorted flat ticks; the caller compresses
+/// them into runs. The run-skipping alternative is [`crate::event`].
+pub(crate) fn walk_level(prev: &CompressedRow, n: i64, q: i64) -> (i64, Vec<i64>) {
+    let mut prev_at = prev.cursor();
     let mut zero_until = 0i64;
     let mut flats: Vec<i64> = Vec::new();
     let mut last = 0i64; // W^(p)(l−1)
@@ -550,127 +305,137 @@ fn build_level_from<R: SkelRead>(mut prev_at: R, n: i64, q: i64) -> CompressedRo
         }
         last = best;
     }
-    // Incremental pushes leave up to 2× capacity slack; release it so
-    // the memory accounting (and the actual footprint) stay tight.
-    flats.shrink_to_fit();
-    CompressedRow::from_flats(zero_until, flats)
+    (zero_until, flats)
+}
+
+/// `W^(p)[L]` for all `p ≤ p_max`, `L ≤ L_max`, stored as run-backed
+/// rows: `O(p·k)` memory with `k ≪ L`.
+///
+/// Equality is **structural**: two tables compare equal only when every
+/// field — grid, extent, event count and each row's stored runs —
+/// matches exactly. This is the bit-identical round-trip contract of
+/// the persistence layer (`from_parts(to_parts(t)) == t`, see
+/// [`crate::snapshot`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct CompressedTable {
+    pub(crate) grid: Grid,
+    pub(crate) max_ticks: i64,
+    pub(crate) max_interrupts: u32,
+    pub(crate) rows: Vec<CompressedRow>,
+    /// Build-loop iterations summed over all levels: one per tick for the
+    /// tick-walking build, one per breakpoint event for the event-driven
+    /// build (see [`Self::events`]).
+    pub(crate) events: u64,
 }
 
 impl CompressedTable {
     /// Solves the game bottom-up for interrupt levels `0..=max_interrupts`
-    /// and lifespans `0..=max_lifespan` at `ticks_per_setup` resolution,
-    /// storing each level as its breakpoint skeleton. Walks every tick
-    /// (`O(p·L)` time); for huge lifespans prefer [`Self::solve_with`]
-    /// with [`crate::InnerLoop::EventDriven`].
+    /// and lifespans `0..=max_lifespan` at `ticks_per_setup` resolution by
+    /// **walking every tick** (`O(p·L)` time) — the independent reference
+    /// build. Production callers use [`Self::solve_event_driven`], which
+    /// stores the same rows.
+    ///
+    /// ```
+    /// use cyclesteal_core::time::secs;
+    /// use cyclesteal_dp::CompressedTable;
+    ///
+    /// let walked = CompressedTable::solve(secs(1.0), 8, secs(500.0), 2);
+    /// let jumped = CompressedTable::solve_event_driven(secs(1.0), 8, secs(500.0), 2);
+    /// // Bit-identical answers from two independent builds…
+    /// assert_eq!(walked.value_ticks(2, 4000), jumped.value_ticks(2, 4000));
+    /// // …but the event build skips ticks instead of visiting each one.
+    /// assert!(jumped.events() < walked.events());
+    /// ```
     pub fn solve(
         setup: Time,
         ticks_per_setup: u32,
         max_lifespan: Time,
         max_interrupts: u32,
     ) -> CompressedTable {
-        Self::solve_with(
+        Self::build(
             setup,
             ticks_per_setup,
             max_lifespan,
             max_interrupts,
-            crate::value::SolveOptions {
-                keep_policy: false,
-                inner: crate::value::InnerLoop::FrontierSweep,
-                threads: 1,
-                repr: RowRepr::Breakpoints,
-            },
-        )
-    }
-
-    /// [`Self::solve`] with an explicit inner-build and row-representation
-    /// selection. [`crate::InnerLoop::EventDriven`] jumps lifespan ahead
-    /// run by run (`O(p·k log k)` time, `k` = breakpoints — see
-    /// [`crate::event`]); every other variant walks the ticks with the
-    /// monotone frontier sweep. [`crate::RowRepr::Runs`] stores the
-    /// emitted skeletons second-order-compressed (arithmetic runs, see
-    /// [`crate::run`]). All combinations emit identical values, argmax
-    /// and episodes; `keep_policy` is ignored (compressed tables
-    /// re-derive the policy at query time for free).
-    ///
-    /// ```
-    /// use cyclesteal_core::time::secs;
-    /// use cyclesteal_dp::{CompressedTable, InnerLoop, RowRepr, SolveOptions};
-    ///
-    /// // An event-driven, run-compressed solve: the configuration for
-    /// // huge lifespans (here kept small so the example runs fast).
-    /// let opts = SolveOptions {
-    ///     keep_policy: false,
-    ///     inner: InnerLoop::EventDriven,
-    ///     repr: RowRepr::Runs,
-    ///     ..SolveOptions::default()
-    /// };
-    /// let table = CompressedTable::solve_with(secs(1.0), 8, secs(500.0), 2, opts);
-    /// // Bit-identical to the tick-walking flat-list build:
-    /// let walked = CompressedTable::solve(secs(1.0), 8, secs(500.0), 2);
-    /// assert_eq!(table.value_ticks(2, 4000), walked.value_ticks(2, 4000));
-    /// // …while storing far fewer explicit descriptors:
-    /// assert!(table.stored_breakpoints(2) <= walked.stored_breakpoints(2));
-    /// ```
-    pub fn solve_with(
-        setup: Time,
-        ticks_per_setup: u32,
-        max_lifespan: Time,
-        max_interrupts: u32,
-        opts: crate::value::SolveOptions,
-    ) -> CompressedTable {
-        Self::solve_inner(
-            setup,
-            ticks_per_setup,
-            max_lifespan,
-            max_interrupts,
-            opts,
+            false,
             None,
         )
     }
 
-    /// [`Self::solve_with`] with per-phase timing recorded into
-    /// `recorder` (see [`crate::profile`]): the event-driven build
-    /// loop, the tick-walking skeleton build and the run re-encoding
-    /// are each attributed to their [`crate::Phase`]. The clock is read
-    /// only between phases, so the emitted table is bit-identical to
-    /// the unprofiled solve.
+    /// [`Self::solve`] with each level's tick walk and run compression
+    /// timed into `recorder` as [`Phase::SkeletonBuild`] and
+    /// [`Phase::RunCompression`]. The clock is read only between phases,
+    /// so the table is bit-identical to the unprofiled solve.
     pub fn solve_profiled(
         setup: Time,
         ticks_per_setup: u32,
         max_lifespan: Time,
         max_interrupts: u32,
-        opts: crate::value::SolveOptions,
-        recorder: &crate::profile::PhaseRecorder<'_>,
+        recorder: &PhaseRecorder<'_>,
     ) -> CompressedTable {
-        Self::solve_inner(
+        let prof = Some(recorder);
+        Self::build(
             setup,
             ticks_per_setup,
             max_lifespan,
             max_interrupts,
-            opts,
-            Some(recorder),
+            false,
+            prof,
         )
     }
 
-    fn solve_inner(
+    /// The production solve: the same rows as [`Self::solve`], built by
+    /// the event-driven (run-skipping) builder of [`crate::event`] in
+    /// `O(p·k log k)` time, `k` = breakpoints.
+    pub fn solve_event_driven(
         setup: Time,
         ticks_per_setup: u32,
         max_lifespan: Time,
         max_interrupts: u32,
-        opts: crate::value::SolveOptions,
-        prof: Option<&crate::profile::PhaseRecorder<'_>>,
     ) -> CompressedTable {
-        use crate::profile::{time_opt, Phase};
+        Self::build(
+            setup,
+            ticks_per_setup,
+            max_lifespan,
+            max_interrupts,
+            true,
+            None,
+        )
+    }
+
+    /// [`Self::solve_event_driven`] with each level's build timed into
+    /// `recorder` as [`Phase::EventLoop`]. The clock is read only
+    /// between phases, so the table is bit-identical to the unprofiled
+    /// solve.
+    pub fn solve_event_driven_profiled(
+        setup: Time,
+        ticks_per_setup: u32,
+        max_lifespan: Time,
+        max_interrupts: u32,
+        recorder: &PhaseRecorder<'_>,
+    ) -> CompressedTable {
+        let prof = Some(recorder);
+        Self::build(
+            setup,
+            ticks_per_setup,
+            max_lifespan,
+            max_interrupts,
+            true,
+            prof,
+        )
+    }
+
+    fn build(
+        setup: Time,
+        ticks_per_setup: u32,
+        max_lifespan: Time,
+        max_interrupts: u32,
+        event_driven: bool,
+        prof: Option<&PhaseRecorder<'_>>,
+    ) -> CompressedTable {
         let grid = Grid::new(setup, ticks_per_setup);
         let n = grid.to_ticks(max_lifespan).max(0);
         let q = grid.q();
-        let event_driven = opts.inner == crate::value::InnerLoop::EventDriven;
-
-        // `threads` only parallelizes the per-level breakpoint-run
-        // expansion inside the event-driven builder — the build loop (and
-        // with it the event count and the emitted skeleton) is identical
-        // at every thread count. The tick-walking build stays sequential.
-        let threads = opts.resolved_threads();
         let mut rows = Vec::with_capacity(max_interrupts as usize + 1);
         let mut events: u64 = 0;
         // Level 0: W^(0)(l) = l ⊖ Q — a pure zero region, no flats after.
@@ -679,14 +444,18 @@ impl CompressedTable {
             let prev = rows.last().expect("level p−1 present");
             let row = if event_driven {
                 let (row, level_events) = time_opt(prof, Phase::EventLoop, || {
-                    crate::event::build_level_events(prev, n, q, threads, opts.repr)
+                    crate::event::build_level_events(prev, n, q)
                 });
                 events += level_events;
                 row
             } else {
                 events += n.max(0) as u64;
-                let built = time_opt(prof, Phase::SkeletonBuild, || build_level(prev, n, q));
-                time_opt(prof, Phase::RunCompression, || built.into_repr(opts.repr))
+                let (zero_until, flats) =
+                    time_opt(prof, Phase::SkeletonBuild, || walk_level(prev, n, q));
+                let runs = time_opt(prof, Phase::RunCompression, || {
+                    RunRow::compress(flats.into_iter())
+                });
+                CompressedRow { zero_until, runs }
             };
             rows.push(row);
         }
@@ -695,7 +464,6 @@ impl CompressedTable {
             grid,
             max_ticks: n,
             max_interrupts,
-            repr: opts.repr,
             rows,
             events,
         }
@@ -737,44 +505,29 @@ impl CompressedTable {
         self.max_interrupts
     }
 
-    /// The row representation the table was solved into.
-    pub fn repr(&self) -> RowRepr {
-        self.repr
-    }
-
-    /// Short human label for the row representation — what
-    /// `examples/guarantee_explorer.rs` prints per query.
-    pub fn repr_name(&self) -> &'static str {
-        match self.repr {
-            RowRepr::Breakpoints => "breakpoint",
-            RowRepr::Runs => "run",
-        }
-    }
-
     /// Logical breakpoints at level `p` (flat ticks + the zero edge) —
-    /// the resolution-independent row size, identical across
-    /// representations.
+    /// the resolution-independent row size.
     pub fn breakpoints(&self, p: u32) -> usize {
         self.rows[p.min(self.max_interrupts) as usize].breakpoints()
     }
 
-    /// Breakpoints *stored* as explicit descriptors at level `p`: equal
-    /// to [`Self::breakpoints`] for the flat-list form, the
-    /// arithmetic-run descriptor count for [`crate::RowRepr::Runs`] —
-    /// the `run_compressed_breakpoints` number of the `perf_dp` bench.
+    /// Breakpoints *stored* as explicit descriptors at level `p`: the
+    /// arithmetic-run descriptor count plus the zero edge — the
+    /// `run_compressed_breakpoints` number of the `perf_dp` bench.
     pub fn stored_breakpoints(&self, p: u32) -> usize {
         self.rows[p.min(self.max_interrupts) as usize].stored_breakpoints()
     }
 
-    /// Bytes held by all row skeletons — the number the `perf_dp` bench
-    /// compares against [`crate::ValueTable::memory_bytes`] (and, across
-    /// representations, reports as `run_memory_bytes`).
+    /// Bytes held by all rows (descriptors + residual streams) — the
+    /// cache's residency accounting and the bench's `run_memory_bytes`.
     pub fn memory_bytes(&self) -> usize {
         self.rows.iter().map(CompressedRow::memory_bytes).sum()
     }
 
-    /// Exact grid value in work ticks; same domain contract as
-    /// [`crate::ValueTable::value_ticks`].
+    /// Exact grid value in work ticks. `p` above the solved range clamps
+    /// (the adversary never benefits from more interrupts than periods,
+    /// and `W^(p)` is nonincreasing in `p`, so this is an upper bound
+    /// there); `l` outside `[0, max]` panics.
     #[inline]
     pub fn value_ticks(&self, p: u32, l: i64) -> i64 {
         assert!(
@@ -789,10 +542,8 @@ impl CompressedTable {
     /// first_tick + count` as arithmetic-run descriptors (typically one
     /// per breakpoint in range) — what the serving layer's streaming
     /// wire mode ships for sweep-shaped queries instead of a dense
-    /// array. Derived from the zero-region edge and the flat-tick
-    /// iterator only, so both [`RowRepr`] storage forms emit identical
-    /// descriptors, and [`expand_value_runs`] reproduces
-    /// [`Self::value_ticks`] at every covered tick bit for bit.
+    /// array. [`expand_value_runs`] reproduces [`Self::value_ticks`] at
+    /// every covered tick bit for bit.
     ///
     /// # Panics
     ///
@@ -827,7 +578,8 @@ impl CompressedTable {
         // except at flat ticks. Walk the flats once; each gap becomes a
         // step-1 ramp, each maximal group of consecutive flats a
         // constant run.
-        let (mut rank, mut flats) = row.flats_after(l - 1);
+        let mut flats = row.runs.iter();
+        let mut rank = flats.seek_after(l - 1);
         let mut next_flat = flats.next().unwrap_or(i64::MAX);
         while l <= last {
             if l < next_flat {
@@ -858,7 +610,8 @@ impl CompressedTable {
     }
 
     /// Value at an arbitrary lifespan by linear interpolation between grid
-    /// points; same contract as [`crate::ValueTable::value`].
+    /// points (`W` is 1-Lipschitz, so the interpolation error is below
+    /// half a tick). Lifespans beyond the solved range panic.
     pub fn value(&self, p: u32, lifespan: Time) -> Work {
         let tick = self.grid.tick().get();
         let x = lifespan.get() / tick;
@@ -880,10 +633,8 @@ impl CompressedTable {
     }
 
     /// The optimal first-period length (in ticks) at state `(p, l)`,
-    /// re-derived from the skeletons with the dense solver's exact
-    /// tie-breaks — bit-identical to
-    /// [`crate::ValueTable::first_period_ticks`] under the default
-    /// frontier-sweep/bisection inner loops.
+    /// re-derived from the rows with the frontier sweep's exact
+    /// tie-breaks (see the module docs).
     pub fn first_period_ticks(&self, p: u32, l: i64) -> i64 {
         assert!(
             (0..=self.max_ticks).contains(&l),
@@ -941,10 +692,10 @@ impl CompressedTable {
         best_t
     }
 
-    /// Reconstructs the full optimal episode schedule at `(p, lifespan)`;
-    /// same contract (and output) as [`crate::ValueTable::episode`],
-    /// including the shared coarse-grid drift guard
-    /// (`crate::value::assemble_episode`).
+    /// Reconstructs the full optimal episode schedule at `(p, lifespan)`
+    /// (the lifespan is quantized to the grid; the residual quantization
+    /// drift is absorbed by the first period — see `assemble_episode`
+    /// for the coarse-grid guard).
     pub fn episode(&self, p: u32, lifespan: Time) -> Result<EpisodeSchedule> {
         let mut l = self.grid.to_ticks(lifespan);
         if l <= 0 {
@@ -957,8 +708,37 @@ impl CompressedTable {
             periods_ticks.push(t);
             l -= t;
         }
-        crate::value::assemble_episode(&self.grid, &periods_ticks, lifespan)
+        assemble_episode(&self.grid, &periods_ticks, lifespan)
     }
+}
+
+/// Turns reconstructed on-grid period ticks into an [`EpisodeSchedule`]
+/// at the requested (off-grid) lifespan. The quantization drift
+/// `lifespan − Σ tᵢ·tick` is absorbed by the first period; when a
+/// *negative* drift would consume the entire first period — reachable
+/// only at very coarse grids, where half a tick can rival a whole period
+/// — every period is instead scaled by the same positive factor, so the
+/// schedule never contains a non-positive length and still sums to the
+/// lifespan.
+pub(crate) fn assemble_episode(
+    grid: &Grid,
+    periods_ticks: &[i64],
+    lifespan: Time,
+) -> Result<EpisodeSchedule> {
+    let mut periods: Vec<Time> = periods_ticks.iter().map(|&t| grid.to_time(t)).collect();
+    let total: Time = periods.iter().copied().sum();
+    let drift = lifespan - total;
+    if !drift.is_zero() {
+        if (periods[0] + drift).is_positive() {
+            periods[0] += drift;
+        } else {
+            let scale = lifespan.get() / total.get();
+            for t in periods.iter_mut() {
+                *t = Time::new(t.get() * scale);
+            }
+        }
+    }
+    EpisodeSchedule::for_lifespan(periods, lifespan)
 }
 
 impl WorkOracle for CompressedTable {
@@ -971,15 +751,15 @@ impl WorkOracle for CompressedTable {
     }
 }
 
-/// The compressed table's optimal strategy as an [`EpisodePolicy`].
+/// The table's optimal strategy as an [`EpisodePolicy`].
 #[derive(Clone)]
 pub struct CompressedOptimalPolicy {
     table: Arc<CompressedTable>,
 }
 
 impl CompressedOptimalPolicy {
-    /// Wraps a solved compressed table (the policy is always available —
-    /// no `keep_policy` arena is needed).
+    /// Wraps a solved table (the policy is always available — no argmax
+    /// arena is needed).
     pub fn new(table: Arc<CompressedTable>) -> CompressedOptimalPolicy {
         CompressedOptimalPolicy { table }
     }
@@ -1007,101 +787,157 @@ impl EpisodePolicy for CompressedOptimalPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::{SolveOptions, ValueTable};
+    use cyclesteal_core::bounds::{w0, w1_exact};
     use cyclesteal_core::time::secs;
 
-    fn dense(q: u32, max_u: f64, p: u32) -> ValueTable {
-        ValueTable::solve(secs(1.0), q, secs(max_u), p, SolveOptions::default())
-    }
-
-    fn solve_runs(q: u32, max_u: f64, p: u32) -> CompressedTable {
-        CompressedTable::solve_with(
-            secs(1.0),
-            q,
-            secs(max_u),
-            p,
-            SolveOptions {
-                keep_policy: false,
-                repr: RowRepr::Runs,
-                ..SolveOptions::default()
-            },
-        )
+    fn table(q: u32, max_u: f64, p: u32) -> CompressedTable {
+        CompressedTable::solve_event_driven(secs(1.0), q, secs(max_u), p)
     }
 
     #[test]
-    fn matches_dense_values_exactly() {
+    fn level_zero_matches_prop_41d() {
+        let t = table(8, 64.0, 0);
+        for l in [0.0, 0.5, 1.0, 7.25, 64.0] {
+            assert_eq!(t.value(0, secs(l)), w0(secs(l), secs(1.0)), "L={l}");
+        }
+    }
+
+    #[test]
+    fn monotone_in_lifespan_and_interrupts() {
+        let t = table(8, 128.0, 4);
+        for p in 0..=4u32 {
+            for l in 1..=t.max_ticks() {
+                assert!(
+                    t.value_ticks(p, l) >= t.value_ticks(p, l - 1),
+                    "Prop 4.1(a) fails at p={p}, l={l}"
+                );
+            }
+        }
+        for p in 1..=4u32 {
+            for l in 0..=t.max_ticks() {
+                assert!(
+                    t.value_ticks(p, l) <= t.value_ticks(p - 1, l),
+                    "Prop 4.1(b) fails at p={p}, l={l}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn zero_region_is_prop_41c() {
+        let t = table(8, 64.0, 3);
+        let q = 8i64;
+        for p in 0..=3u32 {
+            let threshold = (p as i64 + 1) * q;
+            for l in 0..=threshold {
+                assert_eq!(t.value_ticks(p, l), 0, "W^{p}[{l}] should be 0");
+            }
+            // Just above: (p+1) periods of Q+1 ticks leave one survivor
+            // banking one tick even after p kills.
+            let above = (p as i64 + 1) * (q + 1);
+            if above <= t.max_ticks() {
+                assert!(
+                    t.value_ticks(p, above) >= 1,
+                    "W^{p}[{above}] should be positive"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn p1_matches_section_52_closed_form() {
+        // Grid restriction can only lose; the loss is O(tick · m).
+        let q = 64u32;
+        let t = table(q, 200.0, 1);
+        let c = secs(1.0);
+        for &u in &[3.0, 5.0, 10.0, 50.0, 100.0, 200.0] {
+            let dp = t.value(1, secs(u));
+            let cf = w1_exact(secs(u), c);
+            assert!(
+                dp <= cf + secs(1e-9),
+                "U={u}: grid value {dp} exceeds continuum optimum {cf}"
+            );
+            let m = cyclesteal_core::bounds::m1_opt(secs(u), c) as f64;
+            let slack = secs((m + 2.0) / q as f64);
+            assert!(
+                dp >= cf - slack,
+                "U={u}: grid value {dp} too far below optimum {cf} (slack {slack})"
+            );
+        }
+    }
+
+    #[test]
+    fn brute_force_full_range_cross_check() {
+        // Reference maximizing over ALL t ∈ [1, l] — no wait-candidate
+        // shortcut, no productivity restriction — against both builds.
+        let q = 4i64;
+        let n = 60i64;
+        let mut ref_levels: Vec<Vec<i64>> = Vec::new();
+        ref_levels.push((0..=n).map(|l| (l - q).max(0)).collect());
+        for p in 1..=3usize {
+            let mut cur = vec![0i64; (n + 1) as usize];
+            for l in 1..=n {
+                let mut best = 0;
+                for t in 1..=l {
+                    let a = ref_levels[p - 1][(l - t) as usize];
+                    let b = (t - q).max(0) + cur[(l - t) as usize];
+                    best = best.max(a.min(b));
+                }
+                cur[l as usize] = best;
+            }
+            ref_levels.push(cur);
+        }
+
+        let u = secs(n as f64 / q as f64);
+        let walked = CompressedTable::solve(secs(1.0), q as u32, u, 3);
+        let jumped = CompressedTable::solve_event_driven(secs(1.0), q as u32, u, 3);
+        for p in 0..=3u32 {
+            for l in 0..=n {
+                let want = ref_levels[p as usize][l as usize];
+                assert_eq!(walked.value_ticks(p, l), want, "tick walk at p={p}, l={l}");
+                assert_eq!(
+                    jumped.value_ticks(p, l),
+                    want,
+                    "event build at p={p}, l={l}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn both_builds_store_identical_rows() {
         for (q, max_u, p) in [
             (4u32, 60.0, 3u32),
             (8, 120.0, 2),
             (32, 40.0, 4),
             (16, 1.0, 2),
         ] {
-            let d = dense(q, max_u, p);
-            let c = CompressedTable::solve(secs(1.0), q, secs(max_u), p);
-            let r = solve_runs(q, max_u, p);
-            assert_eq!(d.max_ticks(), c.max_ticks());
-            assert_eq!(d.max_ticks(), r.max_ticks());
-            for pp in 0..=p {
-                for l in 0..=d.max_ticks() {
-                    assert_eq!(
-                        d.value_ticks(pp, l),
-                        c.value_ticks(pp, l),
-                        "value mismatch at q={q}, p={pp}, l={l}"
-                    );
-                    assert_eq!(
-                        d.value_ticks(pp, l),
-                        r.value_ticks(pp, l),
-                        "run-backed value mismatch at q={q}, p={pp}, l={l}"
-                    );
-                }
-            }
+            let walked = CompressedTable::solve(secs(1.0), q, secs(max_u), p);
+            let jumped = table(q, max_u, p);
+            assert_eq!(walked.rows, jumped.rows, "rows differ at q={q}, p={p}");
+            assert_eq!(walked.events(), p as u64 * walked.max_ticks() as u64);
         }
     }
 
     #[test]
-    fn matches_dense_argmax_exactly() {
-        let d = dense(8, 100.0, 3);
-        let c = CompressedTable::solve(secs(1.0), 8, secs(100.0), 3);
-        let r = solve_runs(8, 100.0, 3);
-        for p in 0..=3u32 {
-            for l in 1..=d.max_ticks() {
-                assert_eq!(
-                    d.first_period_ticks(p, l),
-                    c.first_period_ticks(p, l),
-                    "argmax mismatch at p={p}, l={l}"
-                );
-                assert_eq!(
-                    d.first_period_ticks(p, l),
-                    r.first_period_ticks(p, l),
-                    "run-backed argmax mismatch at p={p}, l={l}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn episodes_are_bit_identical_to_dense() {
-        let d = dense(16, 200.0, 2);
-        let c = CompressedTable::solve(secs(1.0), 16, secs(200.0), 2);
-        let r = solve_runs(16, 200.0, 2);
-        for p in 1..=2u32 {
-            for &u in &[17.0, 63.0, 128.5, 200.0] {
-                let de = d.episode(p, secs(u)).unwrap();
-                let ce = c.episode(p, secs(u)).unwrap();
-                let re = r.episode(p, secs(u)).unwrap();
-                assert_eq!(de.len(), ce.len(), "period count at p={p}, U={u}");
-                assert_eq!(de.len(), re.len(), "run period count at p={p}, U={u}");
-                for k in 0..de.len() {
-                    assert_eq!(de.period(k), ce.period(k), "period {k} at p={p}, U={u}");
-                    assert_eq!(de.period(k), re.period(k), "run period {k} at p={p}, U={u}");
-                }
-            }
-        }
+    fn reconstructed_episode_covers_lifespan_and_starts_like_s_opt1() {
+        let t = table(64, 300.0, 1);
+        let u = secs(250.0);
+        let s = t.episode(1, u).unwrap();
+        assert!(s.total().approx_eq(u, secs(1e-9)));
+        let reference = cyclesteal_core::schedules::optimal_p1_schedule(u, secs(1.0)).unwrap();
+        let diff = (s.period(0) - reference.period(0)).abs();
+        assert!(
+            diff <= secs(0.2),
+            "DP first period {} vs closed form {}",
+            s.period(0),
+            reference.period(0)
+        );
     }
 
     #[test]
     fn row_size_tracks_loss_not_lifespan() {
-        // Doubling the lifespan must not double the skeleton: breakpoints
+        // Doubling the lifespan must not double the row: breakpoints
         // scale like the √-loss, not like L.
         let a = CompressedTable::solve(secs(1.0), 16, secs(500.0), 2);
         let b = CompressedTable::solve(secs(1.0), 16, secs(2000.0), 2);
@@ -1110,38 +946,29 @@ mod tests {
             (kb as f64) < 3.0 * ka as f64,
             "4× lifespan grew breakpoints {ka} -> {kb} (≥3×): not sublinear"
         );
-        // And the compressed form must beat the dense arena handily.
-        let d = dense(16, 2000.0, 2);
+        // And the table must beat a dense i64 row per level handily.
+        let dense = 3 * (b.max_ticks() as usize + 1) * std::mem::size_of::<i64>();
         assert!(
-            d.memory_bytes() >= 10 * b.memory_bytes(),
-            "dense {} vs compressed {}",
-            d.memory_bytes(),
+            dense >= 10 * b.memory_bytes(),
+            "dense {dense} vs compressed {}",
             b.memory_bytes()
         );
     }
 
     #[test]
-    fn run_backed_rows_store_fewer_descriptors() {
-        // Second-order compression: the stored descriptor count and the
-        // footprint both drop below the flat list's, while the logical
-        // breakpoints stay identical.
-        let flat = CompressedTable::solve(secs(1.0), 16, secs(4000.0), 2);
-        let runs = solve_runs(16, 4000.0, 2);
-        assert_eq!(flat.breakpoints(2), runs.breakpoints(2));
+    fn runs_store_fewer_descriptors_than_breakpoints() {
+        // Second-order compression: the stored descriptor count drops
+        // well below the logical breakpoints, and the footprint below one
+        // word per breakpoint.
+        let t = table(16, 4000.0, 2);
         assert!(
-            runs.stored_breakpoints(2) * 2 < flat.stored_breakpoints(2),
-            "runs stored {} of {} flat descriptors — second-order compression inert",
-            runs.stored_breakpoints(2),
-            flat.stored_breakpoints(2)
+            t.stored_breakpoints(2) * 2 < t.breakpoints(2),
+            "runs stored {} of {} breakpoints — second-order compression inert",
+            t.stored_breakpoints(2),
+            t.breakpoints(2)
         );
-        assert!(
-            runs.memory_bytes() < flat.memory_bytes(),
-            "run-backed table larger than flat list: {} vs {}",
-            runs.memory_bytes(),
-            flat.memory_bytes()
-        );
-        assert_eq!(flat.repr_name(), "breakpoint");
-        assert_eq!(runs.repr_name(), "run");
+        let words: usize = (0..=2).map(|p| t.breakpoints(p) * 8).sum();
+        assert!(t.memory_bytes() < words, "{} vs {words}", t.memory_bytes());
     }
 
     #[test]
@@ -1159,70 +986,118 @@ mod tests {
         assert_eq!(c.value_ticks(1, 1), 0);
         let e = c.episode(1, secs(0.125)).unwrap();
         assert_eq!(e.len(), 1);
-        // Run-backed degenerate rows behave identically.
-        let r = solve_runs(8, 0.125, 2);
+        // The event build's degenerate rows behave identically.
+        let r = table(8, 0.125, 2);
         assert_eq!(r.max_ticks(), 1);
         assert_eq!(r.value_ticks(1, 1), 0);
     }
 
     #[test]
-    fn interpolation_matches_dense() {
-        let d = dense(8, 64.0, 2);
-        let c = CompressedTable::solve(secs(1.0), 8, secs(64.0), 2);
-        for &u in &[0.06, 10.33, 29.99, 64.0] {
-            assert_eq!(d.value(2, secs(u)), c.value(2, secs(u)), "U={u}");
+    fn interpolation_is_between_grid_points() {
+        let t = table(4, 32.0, 2);
+        let a = t.value(2, secs(10.0));
+        let b = t.value(2, secs(10.25));
+        let mid = t.value(2, secs(10.125));
+        assert!(mid >= a.min(b) && mid <= a.max(b));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside solved range")]
+    fn out_of_range_lifespan_panics() {
+        let t = table(4, 32.0, 1);
+        let _ = t.value(1, secs(1000.0));
+    }
+
+    #[test]
+    fn coarse_grid_episodes_never_emit_nonpositive_periods() {
+        // Q = 1 is the coarsest grid: one tick per setup charge, so the
+        // quantization drift (up to half a tick) rivals whole periods.
+        // Every reconstructed episode must consist of strictly positive
+        // periods summing to the requested lifespan — including lifespans
+        // sitting right at the round-half-away boundary.
+        let t = table(1, 40.0, 2);
+        for p in 0..=2u32 {
+            for k in 1..=39i64 {
+                for du in [-0.5, -0.499, -0.25, 0.0, 0.25, 0.499] {
+                    let u = secs(k as f64 + du);
+                    if t.grid().to_ticks(u) <= 0 {
+                        continue;
+                    }
+                    let s = t.episode(p, u).unwrap();
+                    assert!(
+                        s.periods().iter().all(|pd| pd.is_positive()),
+                        "non-positive period at p={p}, U={u}: {:?}",
+                        s.periods()
+                    );
+                    assert!(
+                        s.total().approx_eq(u, secs(1e-9)),
+                        "episode at p={p}, U={u} sums to {}",
+                        s.total()
+                    );
+                }
+            }
         }
+    }
+
+    #[test]
+    fn assemble_episode_renormalizes_when_drift_consumes_first_period() {
+        // Direct exercise of the guard: a 1-tick first period with a
+        // negative drift larger than itself. Unreachable through today's
+        // reconstruction loop (|drift| ≤ tick/2 < any period), but the
+        // helper must never emit a non-positive length even if a future
+        // caller feeds it a worse quantization.
+        let grid = Grid::new(secs(1.0), 1);
+        let periods_ticks = [1i64, 5, 5];
+        let lifespan = secs(0.5); // total is 11.0 — drift −10.5 swallows t₁
+        let s = assemble_episode(&grid, &periods_ticks, lifespan).unwrap();
+        assert_eq!(s.len(), 3);
+        assert!(s.periods().iter().all(|pd| pd.is_positive()));
+        assert!(s.total().approx_eq(lifespan, secs(1e-9)));
+        // Proportions survive the renormalization.
+        assert!(s.period(1).approx_eq(s.period(2), secs(1e-12)));
+        assert!(s.period(1) > s.period(0));
+    }
+
+    #[test]
+    fn optimal_policy_is_an_episode_policy() {
+        let pol = CompressedOptimalPolicy::new(Arc::new(table(16, 100.0, 2)));
+        let opp = Opportunity::from_units(80.0, 1.0, 2);
+        let s = pol.episode(&opp).unwrap();
+        assert!(s.total().approx_eq(secs(80.0), secs(1e-9)));
+        assert!(pol.name().contains("optimal-dp"));
     }
 
     #[test]
     fn value_runs_expand_to_the_exact_staircase() {
         // The streaming descriptors must reproduce value_ticks bit for
-        // bit at every covered tick, for every window placement and
-        // under both skeleton representations.
-        let flat = CompressedTable::solve(secs(1.0), 8, secs(120.0), 3);
-        let runs = solve_runs(8, 120.0, 3);
-        let max = flat.max_ticks();
-        for table in [&flat, &runs] {
-            for p in 0..=3u32 {
-                for (first, count) in [
-                    (0, 1),
-                    (0, max),
-                    (0, max + 1),
-                    (1, max),
-                    (max, 1),
-                    (7, 200),
-                    (max / 2, max / 3),
-                ] {
-                    let got = expand_value_runs(&table.value_runs(p, first, count));
-                    assert_eq!(got.len() as i64, count, "p={p} first={first}");
-                    for (j, &v) in got.iter().enumerate() {
-                        assert_eq!(
-                            v,
-                            table.value_ticks(p, first + j as i64),
-                            "repr={} p={p} tick={}",
-                            table.repr_name(),
-                            first + j as i64
-                        );
-                    }
+        // bit at every covered tick, for every window placement.
+        let t = table(8, 120.0, 3);
+        let max = t.max_ticks();
+        for p in 0..=3u32 {
+            for (first, count) in [
+                (0, 1),
+                (0, max),
+                (0, max + 1),
+                (1, max),
+                (max, 1),
+                (7, 200),
+                (max / 2, max / 3),
+            ] {
+                let got = expand_value_runs(&t.value_runs(p, first, count));
+                assert_eq!(got.len() as i64, count, "p={p} first={first}");
+                for (j, &v) in got.iter().enumerate() {
+                    let l = first + j as i64;
+                    assert_eq!(v, t.value_ticks(p, l), "p={p} tick={l}");
                 }
             }
         }
-        // Both representations emit the SAME descriptors, not merely
-        // equal expansions: the accessor reads only the shared
-        // flats_after interface.
-        for p in 0..=3u32 {
-            assert_eq!(
-                flat.value_runs(p, 0, max + 1),
-                runs.value_runs(p, 0, max + 1)
-            );
-        }
         // Compression: one descriptor per breakpoint in range (the
         // O(√(QL) + pQ) flat count), not one per tick.
-        let descriptors = flat.value_runs(3, 0, max + 1).len();
+        let descriptors = t.value_runs(3, 0, max + 1).len();
         assert!(
-            descriptors <= flat.breakpoints(3) * 2 + 2,
+            descriptors <= t.breakpoints(3) * 2 + 2,
             "{descriptors} runs vs {} breakpoints",
-            flat.breakpoints(3)
+            t.breakpoints(3)
         );
         assert!(
             (descriptors as i64) * 2 < max,

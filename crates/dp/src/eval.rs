@@ -1,6 +1,6 @@
 //! Guaranteed-work evaluation of *arbitrary* episode policies.
 //!
-//! The [`ValueTable`](crate::value::ValueTable) answers "what can the best
+//! The [`CompressedTable`](crate::CompressedTable) answers "what can the best
 //! owner guarantee"; this module answers "what does *this* owner
 //! guarantee". For a policy `π` the value satisfies
 //!
@@ -534,7 +534,7 @@ pub fn evaluate_policy_compressed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::{OptimalPolicy, SolveOptions, ValueTable};
+    use crate::compressed::{CompressedOptimalPolicy, CompressedTable};
     use cyclesteal_core::bounds::w1_exact;
     use cyclesteal_core::prelude::*;
     use std::sync::Arc;
@@ -572,7 +572,7 @@ mod tests {
 
     #[test]
     fn no_policy_beats_the_value_table() {
-        let table = ValueTable::solve(secs(C), 16, secs(100.0), 2, SolveOptions::default());
+        let table = CompressedTable::solve_event_driven(secs(C), 16, secs(100.0), 2);
         let policies: Vec<Box<dyn EpisodePolicy>> = vec![
             Box::new(SinglePeriodPolicy),
             Box::new(EqualPeriodsPolicy::new(5)),
@@ -602,14 +602,13 @@ mod tests {
     fn optimal_policy_self_consistency() {
         // Evaluating the DP's own reconstructed policy must reproduce the
         // DP's value (up to interpolation slack).
-        let table = Arc::new(ValueTable::solve(
+        let table = Arc::new(CompressedTable::solve_event_driven(
             secs(C),
             32,
             secs(120.0),
             2,
-            SolveOptions::default(),
         ));
-        let pol = OptimalPolicy::new(table.clone());
+        let pol = CompressedOptimalPolicy::new(table.clone());
         let pv = eval(&pol, 32, 120.0, 2);
         for p in 0..=2u32 {
             for &u in &[10.0, 40.0, 80.0, 120.0] {
@@ -629,7 +628,7 @@ mod tests {
         // optimum by low-order terms only. Empirically the deficit is below
         // 0.5·√(cU) + 2c across this grid (see EXPERIMENTS.md E5 for the
         // large-U sweep against the closed-form bound).
-        let table = ValueTable::solve(secs(C), 16, secs(256.0), 3, SolveOptions::default());
+        let table = CompressedTable::solve_event_driven(secs(C), 16, secs(256.0), 3);
         let pv = eval(&AdaptiveGuideline::default(), 16, 256.0, 3);
         for p in 1..=3u32 {
             for &u in &[64.0, 128.0, 256.0] {

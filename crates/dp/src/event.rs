@@ -2,8 +2,8 @@
 //!
 //! ## Why ticks can be skipped
 //!
-//! The tick-walking builds ([`crate::value`] dense, [`crate::compressed`]
-//! skeleton) spend `O(1)` per lifespan tick, which caps practical
+//! The tick-walking reference build ([`crate::compressed`]) spends
+//! `O(1)` per lifespan tick, which caps practical
 //! lifespans near `10^6`–`10^7` ticks. But between breakpoints *every*
 //! quantity the frontier-sweep recursion touches advances linearly in
 //! `l`:
@@ -35,7 +35,7 @@
 //! span-constant `C`, so the span contributes either a run of slope-1
 //! ticks (skipped in `O(1)`) or a run of flat ticks. Boundary ticks
 //! where no linear span applies fall back to an exact single-tick
-//! transcription of the dense sweep.
+//! transcription of the frontier sweep.
 //!
 //! ## Emitting runs, not flat lists
 //!
@@ -44,19 +44,9 @@
 //! descriptor in `O(1)` instead of `d` vector pushes, and the builder's
 //! own reads of the partial row go through a forward-only `BlockCursor`
 //! (rank, next-flat and membership queries, each `O(1)` amortized).
-//! Reads of the *completed* previous level go through the
-//! representation-blind `SkelCursor` (see [`crate::compressed`]), so the build
-//! loop — and therefore the event count and the emitted skeleton — is
-//! identical whether level `p−1` was stored as a flat list or as
-//! second-order arithmetic runs.
-//!
-//! Once a level is fully determined, [`crate::RowRepr`] decides what the
-//! runs become: `Breakpoints` expands them into the sorted flat-tick
-//! list (an embarrassingly parallel concatenation fanned out over
-//! `cyclesteal-par` workers when the caller's `SolveOptions::threads`
-//! asks for them — each worker owns a disjoint slice of the output, so
-//! the result is byte-identical at every thread count), while `Runs`
-//! feeds them straight into the second-order compressor of
+//! Reads of the *completed* previous level go through its run cursor
+//! (see [`crate::compressed`]). Once a level is fully determined, its
+//! runs feed straight into the second-order compressor of
 //! [`crate::run`] **without ever materializing a per-breakpoint list**.
 //!
 //! ## Cost
@@ -75,17 +65,16 @@
 //! ## Exactness
 //!
 //! Every span formula is derived from (and checked against) invariants
-//! of the dense sweep: `h(s*) ≤ τ` always holds, so the crossing value
+//! of the frontier sweep: `h(s*) ≤ τ` always holds, so the crossing value
 //! is `A`; the stopped frontier has `h(s*+1) > τ`, so the left-neighbour
 //! candidate is `B`; and both candidates were already `≤` the running
 //! maximum when the span began. Whenever a precondition cannot be
 //! verified the builder takes a single exact tick instead — so the
-//! output is *bit-identical* to the tick-walking builds by construction,
+//! output is *bit-identical* to the tick-walking build by construction,
 //! which `tests/equivalence_props.rs` pins down over randomized setups.
 
-use crate::compressed::{CompressedRow, RowSkeleton, SkelRead};
+use crate::compressed::{CompressedRow, RowCursor};
 use crate::run::{RunRow, NO_FLAT};
-use crate::value::RowRepr;
 
 /// A maximal run of consecutive flat ticks `start, start+1, …,
 /// start+len−1` of the row under construction.
@@ -192,14 +181,14 @@ fn val(zero: i64, rank_le: i64, x: i64) -> i64 {
 }
 
 /// One exact tick of the monotone frontier sweep, transcribed from the
-/// dense solver (`value::solve_level`) onto cursor reads. Used for every
+/// tick-walking build (`compressed::walk_level`) onto cursor reads. Used for every
 /// tick where no linear span is provable: zero-region edges, flat
 /// crossings, cap transitions. `pc` is the forward-only cursor into the
 /// completed previous level; `rc` serves the same queries against the
 /// run-encoded row under construction.
 #[allow(clippy::too_many_arguments)]
-fn single_step<C: SkelRead>(
-    pc: &mut C,
+fn single_step(
+    pc: &mut RowCursor<'_>,
     cur: &mut BuildRow,
     l: &mut i64,
     last: &mut i64,
@@ -288,107 +277,24 @@ fn emit_tick(cur: &mut BuildRow, l: &mut i64, last: &mut i64, best: i64) {
     *l += 1;
 }
 
-/// Expands run-length-encoded flat runs into the sorted flat-tick list a
-/// flat-list [`CompressedRow`] stores. With `threads > 1` the runs are
-/// partitioned into contiguous chunks of roughly equal flat count and
-/// each worker writes its own disjoint slice of the output —
-/// byte-identical to the sequential expansion by construction.
-fn materialize_runs(runs: &[FlatRun], count: i64, threads: usize) -> Vec<i64> {
-    let count = count as usize;
-    let mut flats = vec![0i64; count];
-    let expand = |out: &mut [i64], runs: &[FlatRun]| {
-        let mut slot = out.iter_mut();
-        for r in runs {
-            for x in r.start..r.start + r.len {
-                *slot.next().expect("run lengths sum to the slice length") = x;
-            }
-        }
-        debug_assert!(slot.next().is_none(), "slice longer than its runs");
-    };
-    // Below ~16k flats the expansion is cheaper than waking workers.
-    if threads <= 1 || count < (1 << 14) {
-        expand(&mut flats, runs);
-        return flats;
-    }
-    let target = count.div_ceil(threads);
-    let mut jobs: Vec<(&mut [i64], &[FlatRun])> = Vec::with_capacity(threads + 1);
-    let mut rest: &mut [i64] = &mut flats;
-    let mut run_lo = 0usize;
-    while run_lo < runs.len() {
-        let mut take_flats = 0usize;
-        let mut run_hi = run_lo;
-        while run_hi < runs.len() && take_flats < target {
-            take_flats += runs[run_hi].len as usize;
-            run_hi += 1;
-        }
-        let (seg, tail) = std::mem::take(&mut rest).split_at_mut(take_flats);
-        jobs.push((seg, &runs[run_lo..run_hi]));
-        rest = tail;
-        run_lo = run_hi;
-    }
-    cyclesteal_par::par_sweep_segments(jobs, threads, |(seg, chunk): (&mut [i64], &[FlatRun])| {
-        expand(seg, chunk)
-    });
-    flats
-}
-
-/// Builds level `p` from the completed level `p−1` skeleton by event
-/// jumps. Returns the row — in the representation `repr` asks for — and
-/// the number of events (loop iterations — span applications plus
-/// boundary single-steps) taken. `threads` only affects how a
-/// flat-list expansion is fanned out; the build loop — and therefore the
-/// event count and the emitted flat ticks — is identical at every thread
-/// count and in every representation.
-pub(crate) fn build_level_events(
-    prev: &CompressedRow,
-    n: i64,
-    q: i64,
-    threads: usize,
-    repr: RowRepr,
-) -> (CompressedRow, u64) {
-    // Dispatch on the prev representation once per level, so the build
-    // loop's few-reads-per-event monomorphize to direct slice/run walks.
-    match prev.skeleton() {
-        RowSkeleton::Flats(flats) => build_events_from(
-            prev.flats_cursor_over(flats),
-            prev.count(),
-            n,
-            q,
-            threads,
-            repr,
-        ),
-        RowSkeleton::Runs(runs) => build_events_from(
-            prev.runs_cursor_over(runs),
-            prev.count(),
-            n,
-            q,
-            threads,
-            repr,
-        ),
-    }
-}
-
-fn build_events_from<C: SkelRead>(
-    mut pc: C,
-    prev_count: i64,
-    n: i64,
-    q: i64,
-    threads: usize,
-    repr: RowRepr,
-) -> (CompressedRow, u64) {
+/// Builds level `p` from the completed level `p−1` row by event jumps.
+/// Returns the row and the number of events (loop iterations — span
+/// applications plus boundary single-steps) taken.
+pub(crate) fn build_level_events(prev: &CompressedRow, n: i64, q: i64) -> (CompressedRow, u64) {
+    let mut pc = prev.cursor();
     let pz = pc.zero_until();
     let mut cur = BuildRow::default();
     // Level p's loss exceeds level p−1's by roughly one period's worth,
     // but runs compress consecutive flats; a modest seed avoids the first
     // few doubling-and-copy rounds without over-reserving.
-    cur.runs.reserve(prev_count as usize / 8 + 32);
+    cur.runs.reserve(prev.count() as usize / 8 + 32);
     let mut l: i64 = 0; // last computed tick
     let mut last: i64 = 0; // W^(p)(l)
     let mut s: i64 = 0; // crossing residual s*, nondecreasing in l
     let mut events: u64 = 0;
     // Forward-only cursors at position s+1: the previous level through
-    // the representation-blind skeleton cursor, the row under
-    // construction through the block cursor. `s` never retreats, so each
+    // its run cursor, the row under construction through the block
+    // cursor. `s` never retreats, so each
     // cursor crosses each flat once per level.
     let mut rc = BlockCursor::default();
 
@@ -458,7 +364,7 @@ fn build_events_from<C: SkelRead>(
                     }
                 }
                 // Flat-tick onset, resolved in O(1). Both transitions are
-                // one exact tick of the dense sweep specialized to an
+                // one exact tick of the frontier sweep specialized to an
                 // isolated flat entering the window from lockstep
                 // (d == 1, so h(s*+1) = τ+1 and the frontier advances):
                 if d == 1 && s < s_cap {
@@ -498,21 +404,15 @@ fn build_events_from<C: SkelRead>(
                 }
             }
         }
-        // No provable span — take one exact tick of the dense sweep.
+        // No provable span — take one exact tick of the frontier sweep.
         single_step(&mut pc, &mut cur, &mut l, &mut last, &mut s, q, &mut rc);
     }
 
-    let row = match repr {
-        RowRepr::Breakpoints => CompressedRow::from_flats(
-            cur.zero_until,
-            materialize_runs(&cur.runs, cur.count, threads),
-        ),
-        // Feed the block runs straight into the second-order compressor
-        // without expanding a per-breakpoint list.
-        RowRepr::Runs => CompressedRow::from_runs(
-            cur.zero_until,
-            RunRow::compress(cur.runs.iter().flat_map(|r| r.start..r.start + r.len)),
-        ),
+    // Feed the block runs straight into the second-order compressor
+    // without expanding a per-breakpoint list.
+    let row = CompressedRow {
+        zero_until: cur.zero_until,
+        runs: RunRow::compress(cur.runs.iter().flat_map(|r| r.start..r.start + r.len)),
     };
     (row, events)
 }
@@ -520,39 +420,27 @@ fn build_events_from<C: SkelRead>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compressed::walk_level;
 
-    fn all_flats(row: &CompressedRow) -> Vec<i64> {
-        row.flats_after(i64::MIN + 1).1.collect()
-    }
-
-    /// The event builder against the tick-walking skeleton builder, level
-    /// by level, across resolutions that exercise stalls, cap pinning and
-    /// flat runs — in both output representations. (The
-    /// cross-representation equivalence suite lives in
+    /// The event builder against the tick-walking builder, level by
+    /// level, across resolutions that exercise stalls, cap pinning and
+    /// flat runs. (The randomized equivalence suite lives in
     /// `tests/equivalence_props.rs`.)
     #[test]
     fn levels_match_tick_walk_exactly() {
         for (q, n, p_max) in [(1i64, 400i64, 4u32), (4, 1000, 3), (16, 3000, 5), (7, 0, 2)] {
             let mut prev = CompressedRow::empty(q.min(n));
             for p in 1..=p_max {
-                let walked = crate::compressed::build_level(&prev, n, q);
-                let (jumped, events) = build_level_events(&prev, n, q, 1, RowRepr::Breakpoints);
-                let (runs, run_events) = build_level_events(&prev, n, q, 1, RowRepr::Runs);
+                let (zero_until, flats) = walk_level(&prev, n, q);
+                let (jumped, events) = build_level_events(&prev, n, q);
                 assert_eq!(
-                    walked.zero_until, jumped.zero_until,
+                    zero_until, jumped.zero_until,
                     "zero region differs at q={q}, n={n}, p={p}"
                 );
                 assert_eq!(
-                    all_flats(&walked),
-                    all_flats(&jumped),
+                    flats,
+                    jumped.runs.iter().collect::<Vec<_>>(),
                     "flat ticks differ at q={q}, n={n}, p={p}"
-                );
-                assert_eq!(events, run_events, "repr changed the event count");
-                assert_eq!(runs.zero_until, jumped.zero_until);
-                assert_eq!(
-                    all_flats(&runs),
-                    all_flats(&jumped),
-                    "run-backed flat ticks differ at q={q}, n={n}, p={p}"
                 );
                 if n >= 1000 {
                     assert!(
@@ -560,9 +448,7 @@ mod tests {
                         "event build took {events} events for {n} ticks — not skipping"
                     );
                 }
-                // Alternate which representation seeds the next level, so
-                // the builder's prev-reads cover both cursor paths.
-                prev = if p % 2 == 0 { jumped } else { runs };
+                prev = jumped;
             }
         }
     }
@@ -574,7 +460,7 @@ mod tests {
         let n: i64 = 5_000_000;
         let q: i64 = 8;
         let prev = CompressedRow::empty(q);
-        let (row, events) = build_level_events(&prev, n, q, 1, RowRepr::Breakpoints);
+        let (row, events) = build_level_events(&prev, n, q);
         // k = O(√(QL)): ~9e3 here. Events track k, not L.
         assert!(
             (events as i64) < n / 50,
@@ -583,43 +469,13 @@ mod tests {
         // The flat count equals the total loss L − W(L) by construction;
         // confirm the far-end value closes the books.
         assert_eq!(row.value(n), n - row.zero_until - row.count());
-
-        // The run-backed output stores the same function in a fraction of
-        // the descriptors.
-        let (runs, _) = build_level_events(&prev, n, q, 1, RowRepr::Runs);
-        assert_eq!(runs.value(n), row.value(n));
-        assert_eq!(runs.count(), row.count());
+        // The runs store the function in a fraction of the breakpoints.
         assert!(
-            runs.stored_breakpoints() * 4 < row.stored_breakpoints(),
+            row.stored_breakpoints() * 4 < row.breakpoints(),
             "second-order compression inert: {} of {} descriptors",
-            runs.stored_breakpoints(),
-            row.stored_breakpoints()
+            row.stored_breakpoints(),
+            row.breakpoints()
         );
-    }
-
-    /// The parallel run expansion is byte-identical to the sequential
-    /// one, events included, across thread counts and run shapes that
-    /// land chunk boundaries inside and between runs.
-    #[test]
-    fn parallel_materialization_is_identical() {
-        for (q, n) in [(3i64, 200_000i64), (16, 500_000), (1, 50_000)] {
-            let mut prev = CompressedRow::empty(q.min(n));
-            for _p in 1..=3u32 {
-                let (seq, seq_events) = build_level_events(&prev, n, q, 1, RowRepr::Breakpoints);
-                for threads in [2usize, 4, 8] {
-                    let (par, par_events) =
-                        build_level_events(&prev, n, q, threads, RowRepr::Breakpoints);
-                    assert_eq!(seq_events, par_events, "event count at {threads} threads");
-                    assert_eq!(seq.zero_until, par.zero_until);
-                    assert_eq!(
-                        all_flats(&seq),
-                        all_flats(&par),
-                        "flats differ at {threads} threads"
-                    );
-                }
-                prev = seq;
-            }
-        }
     }
 
     /// BlockCursor rank/membership/next queries against a brute-force

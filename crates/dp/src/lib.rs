@@ -3,89 +3,62 @@
 //! The exact game solver for the guaranteed-output cycle-stealing model:
 //! the ground truth every guideline in the paper is measured against.
 //!
-//! Five layers, fast to slow and small to large:
+//! One function, `W^(p)[L]` (the paper's §4 bootstrapping, executed
+//! rather than assumed), one table type, five layers:
 //!
-//! * [`value::ValueTable`] — the dense solver: `W^(p)[L]` exactly on an
-//!   integer tick grid (the paper's §4 bootstrapping, executed rather
-//!   than assumed), stored in one flat arena and solved with a monotone
-//!   **frontier sweep** in `O(p·L)` (bisection and linear-scan inner
-//!   loops remain behind [`value::SolveOptions`] as ablations).
-//!   Reconstructs optimal episode schedules and implements
+//! * [`compressed::CompressedTable`] — the table: `W^(p)[L]` exactly on
+//!   an integer tick grid for every `p ≤ p_max` and `L ≤ L_max`. Rows are
+//!   1-Lipschitz staircases whose flat ticks number only
+//!   `O(√(QL) + pQ)`, stored as **arithmetic runs** ([`run`]): `O(p·k)`
+//!   memory with `k ≪ L`, about one byte per breakpoint. Reconstructs
+//!   optimal episode schedules and implements
 //!   [`cyclesteal_core::policy::WorkOracle`], so Theorem 4.3's equalizer
-//!   can be driven by exact values for any `p`. With
-//!   `SolveOptions { threads, .. }` the solve parallelizes **inside**
-//!   each level — the sixth solver path: levels stay sequential, but
-//!   each level is skeletonized first (event-driven, `O(k log k)`) and
-//!   then expanded into the dense arena by workers sweeping disjoint
-//!   `l`-ranges, each resumed from a precomputed `h`-crossing anchor.
-//!   Values, argmax and episodes are bit-identical to the sequential
-//!   sweep at every thread count (pinned by
-//!   `tests/equivalence_props.rs` and `tests/parallel_props.rs`).
-//! * [`compressed::CompressedTable`] — the same values stored as
-//!   per-level **breakpoint skeletons** (`O(p·k)` memory, `k ≪ L`):
-//!   rows are 1-Lipschitz staircases whose flat ticks number only
-//!   `O(√(QL) + pQ)`, so lifespans in the `10^8`-tick range fit in
-//!   megabytes. Values, argmax and episodes agree with the dense solver
-//!   bit for bit.
-//! * [`run`] — **second-order (arithmetic-run) compression** of those
-//!   skeletons: the flat ticks recur near-arithmetically (once per
-//!   optimal period), so `RowRepr::Runs` stores each level as runs of
-//!   (start, fixed-point common difference, length) plus one `i8`
-//!   residual per jittery breakpoint — stored descriptors track *regime
-//!   changes* instead of breakpoints (an order of magnitude fewer at
-//!   the `10⁹`-tick bench point, ≈1 byte per breakpoint), and every
-//!   query path reads through the same cursors, so the output stays
-//!   bit-identical. Selected with `SolveOptions { repr: RowRepr::Runs,
-//!   .. }`; [`cache::TableCache::get_compressed`] caches run-backed
-//!   tables by default.
-//! * [`event`] — the **event-driven (run-skipping) build** of those
-//!   skeletons: between breakpoints every sweep quantity is linear in
-//!   `L`, so the builder jumps lifespan event to event (stall ends,
-//!   flat-tick onsets, branch/regime switches) in `O(p·k log k)` time —
-//!   `10^9`-tick tables in well under a second, bit-identical output.
-//!   Selected with `SolveOptions { inner: InnerLoop::EventDriven, .. }`
-//!   through [`compressed::CompressedTable::solve_with`]; emits either
-//!   representation directly, without a flat-list detour.
+//!   can be driven by exact values for any `p`.
+//!   [`compressed::CompressedTable::solve`] builds it by walking every
+//!   tick — the independent reference the served answers are checked
+//!   against.
+//! * [`event`] — the production build,
+//!   [`compressed::CompressedTable::solve_event_driven`]: between
+//!   breakpoints every sweep quantity is linear in `L`, so the builder
+//!   jumps lifespan event to event (stall ends, flat-tick onsets,
+//!   branch/regime switches) in `O(p·k log k)` time — `10^9`-tick tables
+//!   in about a second, bit-identical to the tick walk.
 //! * [`cache::TableCache`] — one solve per `(setup, resolution, p_max)`
 //!   serves a whole `(U/c, p)` sweep; independent configurations solve
-//!   in parallel through `cyclesteal-par`, and
-//!   [`cache::TableCache::get_compressed`] caches event-driven
-//!   skeletons for huge-horizon sweeps.
+//!   in parallel through `cyclesteal-par`, under a global LRU memory
+//!   budget.
 //! * [`snapshot`] — the persistence boundary: lossless decomposition of
-//!   a [`compressed::CompressedTable`] into primitive, representation-
-//!   native parts and exact (validated) reconstruction — what the
-//!   `cyclesteal-store` snapshot format serializes, so a solved `10⁹`-
-//!   tick table can be written to disk once and warm-started by every
-//!   later process instead of re-solved.
+//!   a table into primitive parts and exact (validated) reconstruction —
+//!   what the `cyclesteal-store` snapshot format serializes, so a solved
+//!   `10⁹`-tick table can be written to disk once and warm-started by
+//!   every later process instead of re-solved.
 //! * [`eval::evaluate_policy`] — the guaranteed work of an *arbitrary*
 //!   policy against the optimal adversary, used by the E-series benches
 //!   to score the §3 guidelines and the baselines;
 //!   [`eval::evaluate_policy_compressed`] carries the same scoring to
 //!   `10^7`–`10^9` tick grids on adaptively-sampled piecewise-linear
-//!   rows instead of dense `f64` arenas, with collinear knots merged so
-//!   continuations read from run-compressed knot rows.
+//!   rows.
 //!
 //! A symbol-by-symbol map from the paper's notation (`W^(p)[L]`, `Q`,
-//! `h(s)`, episodes, the `h`-crossing anchor) to the types and functions
-//! here lives in `docs/NOTATION.md` at the repository root.
+//! `h(s)`, episodes, the frontier sweep) to the types and functions here
+//! lives in `docs/NOTATION.md` at the repository root.
 //!
 //! ```
 //! use cyclesteal_core::prelude::*;
-//! use cyclesteal_dp::value::{SolveOptions, ValueTable};
-//! use cyclesteal_dp::compressed::CompressedTable;
+//! use cyclesteal_dp::CompressedTable;
 //!
 //! let c = secs(1.0);
-//! let table = ValueTable::solve(c, 32, secs(200.0), 2, SolveOptions::default());
+//! let table = CompressedTable::solve_event_driven(c, 32, secs(200.0), 2);
 //! // Prop 4.1(b): more potential interrupts can only hurt.
 //! assert!(table.value(2, secs(200.0)) <= table.value(1, secs(200.0)));
 //! // §5.2's closed form is confirmed by the solver at p = 1:
 //! let diff = (table.value(1, secs(200.0)) - w1_exact(secs(200.0), c)).abs();
 //! assert!(diff.get() < 0.75);
-//! // The compressed skeleton stores the same function in a fraction of
-//! // the bytes:
-//! let small = CompressedTable::solve(c, 32, secs(200.0), 2);
-//! assert_eq!(small.value_ticks(2, 6400), table.value_ticks(2, 6400));
-//! assert!(small.memory_bytes() < table.memory_bytes());
+//! // The independent tick-walking build agrees exactly:
+//! let walked = CompressedTable::solve(c, 32, secs(200.0), 2);
+//! assert_eq!(walked.value_ticks(2, 6400), table.value_ticks(2, 6400));
+//! // …and the runs hold far fewer bytes than a dense i64 row per level.
+//! assert!(table.memory_bytes() < 3 * 6401 * 8);
 //! ```
 
 #![warn(missing_docs)]
@@ -100,7 +73,6 @@ pub mod grid;
 pub mod profile;
 pub mod run;
 pub mod snapshot;
-pub mod value;
 
 pub use cache::{CacheStats, EvictHook, ShardStats, SolveConfig, TableCache};
 pub use compressed::{expand_value_runs, CompressedOptimalPolicy, CompressedTable, ValueRun};
@@ -111,19 +83,18 @@ pub use eval::{
 pub use grid::Grid;
 pub use profile::{Phase, PhaseRecorder, PhaseTimings, ProfileSink, PHASE_COUNT};
 pub use snapshot::{PartsError, RowParts, RunParts, TableParts};
-pub use value::{InnerLoop, OptimalPolicy, RowRepr, SolveOptions, ValueTable};
 
 #[cfg(test)]
 mod cross_tests {
     //! Cross-module validations: Theorem 4.3's equalizer driven by the
     //! exact oracle must reproduce the exact game value.
-    use crate::value::{SolveOptions, ValueTable};
+    use crate::compressed::CompressedTable;
     use cyclesteal_core::prelude::*;
 
     #[test]
     fn equalizer_with_exact_oracle_matches_game_value() {
         let c = secs(1.0);
-        let table = ValueTable::solve(c, 32, secs(160.0), 3, SolveOptions::default());
+        let table = CompressedTable::solve_event_driven(c, 32, secs(160.0), 3);
         for p in 1..=3u32 {
             for &u in &[40.0, 90.0, 160.0] {
                 let opp = Opportunity::from_units(u, 1.0, p);
@@ -147,28 +118,15 @@ mod cross_tests {
     }
 
     #[test]
-    fn equalizer_accepts_the_compressed_oracle_too() {
-        // WorkOracle is representation-blind: the breakpoint table drives
-        // Theorem 4.3 exactly like the dense one.
-        let c = secs(1.0);
-        let table = crate::compressed::CompressedTable::solve(c, 32, secs(120.0), 2);
-        let opp = Opportunity::from_units(120.0, 1.0, 2);
-        let (sched, value) = equalized_schedule(&table, &opp).unwrap();
-        let exact = table.value(2, secs(120.0));
-        assert!((value - exact).abs() <= secs(0.25));
-        assert!(sched.total().approx_eq(secs(120.0), secs(1e-6)));
-    }
-
-    #[test]
     fn fully_productive_restriction_is_lossless_here() {
         // §4.1 admits the fully-productive restriction is a heuristic.
         // The DP searches ALL schedules (including nonproductive periods);
         // its optimum matching the equalizer's fully-productive
-        // construction (above) and §5.2 (value.rs tests) is numerical
+        // construction (above) and §5.2 (compressed.rs tests) is numerical
         // evidence the restriction loses nothing. Here: reconstructed
         // optimal episodes are always productive outside the zero region.
         let c = secs(1.0);
-        let table = ValueTable::solve(c, 16, secs(120.0), 2, SolveOptions::default());
+        let table = CompressedTable::solve_event_driven(c, 16, secs(120.0), 2);
         for p in 1..=2u32 {
             for &u in &[20.0, 60.0, 120.0] {
                 if table.value(p, secs(u)) > Work::ZERO {

@@ -12,34 +12,30 @@
 //!
 //! Phases map onto the solver's real structure:
 //!
-//! - [`Phase::SkeletonBuild`] — the tick-walking breakpoint build
-//!   (`compressed::build_level`), one walk per interrupt level.
+//! - [`Phase::SkeletonBuild`] — the tick-walking reference build
+//!   (`compressed::walk_level`), one walk per interrupt level.
 //! - [`Phase::EventLoop`] — the event-driven run-skipping build
-//!   (`event::build_level_events`), used by compressed event-driven
-//!   solves and as the skeleton pass of parallel dense solves.
-//! - [`Phase::RunCompression`] — re-encoding a built level into its
-//!   second-order arithmetic-run representation (`into_repr`).
-//! - [`Phase::DenseExpansion`] — filling the dense value/argmax arena
-//!   (segmented parallel sweep or the sequential inner loop).
+//!   (`event::build_level_events`, run compression included): the
+//!   production solve, one build per interrupt level.
+//! - [`Phase::RunCompression`] — compressing a tick-walked level into
+//!   its arithmetic runs.
 
 use cyclesteal_obs::Clock;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of distinct [`Phase`]s.
-pub const PHASE_COUNT: usize = 4;
+pub const PHASE_COUNT: usize = 3;
 
 /// One timed stage of a solve (see the module docs for the mapping
 /// onto solver internals).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Phase {
-    /// Tick-walking breakpoint-skeleton build.
+    /// Tick-walking reference build.
     SkeletonBuild,
     /// Event-driven (run-skipping) build loop.
     EventLoop,
-    /// Second-order run re-encoding of a built level.
+    /// Run compression of a tick-walked level.
     RunCompression,
-    /// Dense value/argmax arena fill.
-    DenseExpansion,
 }
 
 impl Phase {
@@ -48,7 +44,6 @@ impl Phase {
         Phase::SkeletonBuild,
         Phase::EventLoop,
         Phase::RunCompression,
-        Phase::DenseExpansion,
     ];
 
     /// Stable snake_case name, used as the metric label value.
@@ -57,7 +52,6 @@ impl Phase {
             Phase::SkeletonBuild => "skeleton_build",
             Phase::EventLoop => "event_loop",
             Phase::RunCompression => "run_compression",
-            Phase::DenseExpansion => "dense_expansion",
         }
     }
 
@@ -66,7 +60,6 @@ impl Phase {
             Phase::SkeletonBuild => 0,
             Phase::EventLoop => 1,
             Phase::RunCompression => 2,
-            Phase::DenseExpansion => 3,
         }
     }
 }
@@ -104,8 +97,7 @@ impl PhaseTimings {
 }
 
 /// Accumulates phase timings against an injected clock. Thread-safe:
-/// the parallel dense path's coordinating thread and `TableCache`'s
-/// fanned-out batch solves may share one recorder.
+/// `TableCache`'s fanned-out batch solves may share one recorder.
 pub struct PhaseRecorder<'c> {
     clock: &'c dyn Clock,
     ns: [AtomicU64; PHASE_COUNT],
@@ -169,14 +161,14 @@ mod tests {
         let clock = LogicalClock::new();
         let rec = PhaseRecorder::new(&clock);
         rec.time(Phase::SkeletonBuild, || clock.advance(100));
-        rec.time(Phase::DenseExpansion, || clock.advance(40));
-        rec.time(Phase::DenseExpansion, || clock.advance(2));
+        rec.time(Phase::EventLoop, || clock.advance(40));
+        rec.time(Phase::EventLoop, || clock.advance(2));
         let t = rec.timings();
         assert_eq!(t.ns(Phase::SkeletonBuild), 100);
         assert_eq!(t.calls(Phase::SkeletonBuild), 1);
-        assert_eq!(t.ns(Phase::DenseExpansion), 42);
-        assert_eq!(t.calls(Phase::DenseExpansion), 2);
-        assert_eq!(t.ns(Phase::EventLoop), 0);
+        assert_eq!(t.ns(Phase::EventLoop), 42);
+        assert_eq!(t.calls(Phase::EventLoop), 2);
+        assert_eq!(t.ns(Phase::RunCompression), 0);
         assert_eq!(t.total_ns(), 142);
     }
 
@@ -191,7 +183,7 @@ mod tests {
         assert_eq!(seen[1], (Phase::EventLoop, 1, 1));
         assert_eq!(
             Phase::ALL.map(Phase::name).join(","),
-            "skeleton_build,event_loop,run_compression,dense_expansion"
+            "skeleton_build,event_loop,run_compression"
         );
     }
 

@@ -2,8 +2,7 @@
 //!
 //! ## Why skeletons compress again
 //!
-//! The first-order representation ([`crate::compressed`]) stores a row as
-//! its flat ticks — `k = O(√(QL) + pQ)` positions instead of `L` values.
+//! A row ([`crate::compressed`]) is determined by its flat ticks — `k = O(√(QL) + pQ)` positions instead of `L` values.
 //! But those positions are themselves highly structured: the optimal
 //! episode loses roughly one tick per period, so flats recur once per
 //! period length, and the period length drifts only slowly across the
@@ -31,9 +30,8 @@
 //! A run closes when the next flat's residual would overflow an `i8` —
 //! i.e. run boundaries track *regime changes* of the row, not individual
 //! breakpoints. The representation is **lossless**: every query is
-//! answered from the exact reconstructed positions, so run-backed tables
-//! are bit-identical to flat-list and dense tables (the equivalence
-//! suite pins this).
+//! answered from the exact reconstructed positions (the equivalence
+//! suite pins the tables against a dense oracle).
 //!
 //! ## Cost
 //!
@@ -43,8 +41,8 @@
 //! residual byte, arithmetic flats pay nothing) — the `perf_dp` bench
 //! reports both as `run_compressed_breakpoints` / `run_memory_bytes`.
 //! Queries stay `O(log r + log len)` random-access and `O(1)` amortized
-//! through the forward `RunCursor`, which is what the event-driven
-//! builder and the parallel dense expansion read the rows through.
+//! through the forward `RunCursor`, which is what both table builds read
+//! the previous level through.
 
 /// Sentinel for "no flat tick ahead" — large enough to never constrain a
 /// span, small enough to never overflow the arithmetic around it.

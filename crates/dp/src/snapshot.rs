@@ -2,33 +2,32 @@
 //! [`CompressedTable`] into plain data ([`TableParts`]) and the exact
 //! inverse ([`CompressedTable::from_parts`]).
 //!
-//! The solver's row skeletons are internal types (`RowSkeleton`,
-//! `RunRow`, `ArithRun`) whose layout the serialization layer
-//! (`cyclesteal-store`) must not depend on. This module is the stable
-//! boundary between the two: [`CompressedTable::to_parts`] flattens a
-//! table into primitive vectors **in its native representation** — flat
-//! tick lists stay flat lists, arithmetic runs stay run descriptors plus
-//! the shared residual stream, nothing is re-encoded — and
+//! The solver's rows are internal types (`RunRow`, `ArithRun`) whose
+//! layout the serialization layer (`cyclesteal-store`) must not depend
+//! on. This module is the stable boundary between the two:
+//! [`CompressedTable::to_parts`] flattens a table into primitive vectors
+//! **in its native representation** — arithmetic runs stay run
+//! descriptors plus the shared residual stream, nothing is re-encoded —
+//! and
 //! [`CompressedTable::from_parts`] rebuilds the identical table,
 //! re-deriving only the fields that are pure functions of the rest
 //! (per-run residual offsets, cumulative ranks, flat counts).
 //!
 //! Round-tripping is **bit-identical**: `from_parts(to_parts(t)) == t`
-//! under the structural [`PartialEq`] on [`CompressedTable`], for both
-//! [`RowRepr`] variants and any solve configuration (the store crate's
-//! property suite pins this). Reconstruction validates enough structure
-//! that a corrupt `TableParts` yields an [`Err`], never a panic: row
-//! counts, flat-tick monotonicity, run lengths, residual-stream length
-//! and cross-run ordering are all checked before any table is built.
+//! under the structural [`PartialEq`] on [`CompressedTable`], for either
+//! build (the store crate's property suite pins this). Reconstruction
+//! validates enough structure that a corrupt `TableParts` yields an
+//! [`Err`], never a panic: row counts, run lengths, residual-stream
+//! length and cross-run ordering are all checked before any table is
+//! built.
 //! (Per-flat monotonicity *inside* one arithmetic run is deliberately
 //! not walked — it would cost `O(k)` on every warm start — so the
 //! checksums of the store layer remain the integrity guarantee for the
 //! residual bytes themselves.)
 
-use crate::compressed::{CompressedRow, CompressedTable, RowSkeleton};
+use crate::compressed::{CompressedRow, CompressedTable};
 use crate::grid::Grid;
 use crate::run::{ArithRun, RunRow, NO_RES};
-use crate::value::RowRepr;
 use cyclesteal_core::time::Time;
 
 /// A [`CompressedTable`] flattened into primitive, representation-native
@@ -43,34 +42,23 @@ pub struct TableParts {
     pub max_ticks: i64,
     /// Largest interrupt budget the table covers.
     pub max_interrupts: u32,
-    /// The row representation the table was solved into.
-    pub repr: RowRepr,
     /// Build-loop iteration count (see [`CompressedTable::events`]).
     pub events: u64,
     /// One entry per level `0..=max_interrupts`, in level order.
     pub rows: Vec<RowParts>,
 }
 
-/// One compressed row in its native skeleton representation.
+/// One row: the zero-region edge plus its arithmetic runs and their
+/// shared residual stream.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RowParts {
-    /// First-order skeleton: sorted flat ticks past the zero region.
-    Flats {
-        /// Largest `l` with `W(l) = 0`.
-        zero_until: i64,
-        /// Strictly increasing flat ticks, all `> zero_until`.
-        flats: Vec<i64>,
-    },
-    /// Second-order skeleton: arithmetic runs + shared residual stream.
-    Runs {
-        /// Largest `l` with `W(l) = 0`.
-        zero_until: i64,
-        /// Run descriptors, in increasing flat-tick order.
-        runs: Vec<RunParts>,
-        /// Residual bytes of every run with `has_residuals`, concatenated
-        /// in run order (`len` bytes per such run).
-        residuals: Vec<i8>,
-    },
+pub struct RowParts {
+    /// Largest `l` with `W(l) = 0`.
+    pub zero_until: i64,
+    /// Run descriptors, in increasing flat-tick order.
+    pub runs: Vec<RunParts>,
+    /// Residual bytes of every run with `has_residuals`, concatenated in
+    /// run order (`len` bytes per such run).
+    pub residuals: Vec<i8>,
 }
 
 /// One arithmetic-run descriptor, shorn of the derived fields (`res_off`
@@ -124,39 +112,6 @@ fn row_err(level: usize, what: impl Into<String>) -> PartsError {
         level,
         what: what.into(),
     }
-}
-
-/// Validates one flat-list row: strictly increasing, past the zero
-/// region, inside the solved extent.
-fn check_flats(
-    level: usize,
-    zero_until: i64,
-    flats: &[i64],
-    max_ticks: i64,
-) -> Result<(), PartsError> {
-    if !(0..=max_ticks).contains(&zero_until) {
-        return Err(row_err(
-            level,
-            format!("zero_until {zero_until} outside [0, {max_ticks}]"),
-        ));
-    }
-    let mut prev = zero_until;
-    for &f in flats {
-        if f <= prev {
-            return Err(row_err(
-                level,
-                format!("flat tick {f} not strictly increasing past {prev}"),
-            ));
-        }
-        prev = f;
-    }
-    if prev > max_ticks {
-        return Err(row_err(
-            level,
-            format!("flat tick {prev} beyond solved extent {max_ticks}"),
-        ));
-    }
-    Ok(())
 }
 
 /// Rebuilds a [`RunRow`] from its descriptors, re-deriving residual
@@ -273,25 +228,20 @@ impl CompressedTable {
         let rows = self
             .rows
             .iter()
-            .map(|row| match row.skeleton() {
-                RowSkeleton::Flats(flats) => RowParts::Flats {
-                    zero_until: row.zero_until,
-                    flats: flats.clone(),
-                },
-                RowSkeleton::Runs(runs) => RowParts::Runs {
-                    zero_until: row.zero_until,
-                    runs: runs
-                        .runs
-                        .iter()
-                        .map(|r| RunParts {
-                            start: r.start,
-                            step_fx: r.step_fx,
-                            len: r.len,
-                            has_residuals: r.res_off != NO_RES,
-                        })
-                        .collect(),
-                    residuals: runs.res.clone(),
-                },
+            .map(|row| RowParts {
+                zero_until: row.zero_until,
+                runs: row
+                    .runs
+                    .runs
+                    .iter()
+                    .map(|r| RunParts {
+                        start: r.start,
+                        step_fx: r.step_fx,
+                        len: r.len,
+                        has_residuals: r.res_off != NO_RES,
+                    })
+                    .collect(),
+                residuals: row.runs.res.clone(),
             })
             .collect();
         TableParts {
@@ -299,7 +249,6 @@ impl CompressedTable {
             ticks_per_setup: self.grid().q() as u32,
             max_ticks: self.max_ticks(),
             max_interrupts: self.max_interrupts(),
-            repr: self.repr(),
             events: self.events(),
             rows,
         }
@@ -335,27 +284,22 @@ impl CompressedTable {
         let grid = Grid::new(parts.setup, parts.ticks_per_setup);
         let mut rows = Vec::with_capacity(expected_rows);
         for (level, row) in parts.rows.into_iter().enumerate() {
-            rows.push(match row {
-                RowParts::Flats { zero_until, flats } => {
-                    check_flats(level, zero_until, &flats, parts.max_ticks)?;
-                    CompressedRow::from_flats(zero_until, flats)
-                }
-                RowParts::Runs {
-                    zero_until,
-                    runs,
-                    residuals,
-                } => {
-                    let row =
-                        runs_from_parts(level, zero_until, &runs, residuals, parts.max_ticks)?;
-                    CompressedRow::from_runs(zero_until, row)
-                }
+            let runs = runs_from_parts(
+                level,
+                row.zero_until,
+                &row.runs,
+                row.residuals,
+                parts.max_ticks,
+            )?;
+            rows.push(CompressedRow {
+                zero_until: row.zero_until,
+                runs,
             });
         }
         Ok(CompressedTable {
             grid,
             max_ticks: parts.max_ticks,
             max_interrupts: parts.max_interrupts,
-            repr: parts.repr,
             rows,
             events: parts.events,
         })
@@ -367,26 +311,16 @@ mod tests {
     use super::*;
     use cyclesteal_core::time::secs;
 
-    fn solve(repr: RowRepr) -> CompressedTable {
-        CompressedTable::solve_with(
-            secs(1.0),
-            8,
-            secs(300.0),
-            3,
-            crate::value::SolveOptions {
-                keep_policy: false,
-                repr,
-                ..crate::value::SolveOptions::default()
-            },
-        )
+    fn solve() -> CompressedTable {
+        CompressedTable::solve_event_driven(secs(1.0), 8, secs(300.0), 3)
     }
 
     #[test]
-    fn round_trips_both_representations() {
-        for repr in [RowRepr::Breakpoints, RowRepr::Runs] {
-            let table = solve(repr);
+    fn round_trips_both_builds() {
+        let walked = CompressedTable::solve(secs(1.0), 8, secs(300.0), 3);
+        for table in [solve(), walked] {
             let back = CompressedTable::from_parts(table.to_parts()).unwrap();
-            assert_eq!(table, back, "round-trip at {repr:?}");
+            assert_eq!(table, back);
             // And the rebuilt table answers queries identically.
             for p in 0..=3 {
                 for l in [0, 1, 100, table.max_ticks()] {
@@ -398,7 +332,7 @@ mod tests {
 
     #[test]
     fn corrupt_parts_error_instead_of_panicking() {
-        let table = solve(RowRepr::Runs);
+        let table = solve();
 
         // Wrong row count.
         let mut parts = table.to_parts();
@@ -410,49 +344,39 @@ mod tests {
 
         // Truncated residual stream.
         let mut parts = table.to_parts();
-        let mutated = parts.rows.iter_mut().any(|row| {
-            if let RowParts::Runs { residuals, .. } = row {
-                if !residuals.is_empty() {
-                    residuals.pop();
-                    return true;
-                }
-            }
-            false
-        });
-        if mutated {
-            assert!(matches!(
-                CompressedTable::from_parts(parts),
-                Err(PartsError::Row { .. })
-            ));
-        }
+        let row = parts
+            .rows
+            .iter_mut()
+            .find(|row| !row.residuals.is_empty())
+            .expect("test table should carry residuals");
+        row.residuals.pop();
+        assert!(matches!(
+            CompressedTable::from_parts(parts),
+            Err(PartsError::Row { .. })
+        ));
 
         // Zero-length run.
         let mut parts = table.to_parts();
-        let mutated = parts.rows.iter_mut().any(|row| {
-            if let RowParts::Runs { runs, .. } = row {
-                if let Some(r) = runs.first_mut() {
-                    r.len = 0;
-                    return true;
-                }
-            }
-            false
-        });
-        if mutated {
-            assert!(CompressedTable::from_parts(parts).is_err());
-        }
+        let run = parts
+            .rows
+            .iter_mut()
+            .find_map(|row| row.runs.first_mut())
+            .expect("test table should have runs");
+        run.len = 0;
+        assert!(CompressedTable::from_parts(parts).is_err());
 
-        // Non-monotone flat list.
-        let mut parts = solve(RowRepr::Breakpoints).to_parts();
-        let mutated = parts.rows.iter_mut().any(|row| {
-            if let RowParts::Flats { flats, .. } = row {
-                if flats.len() >= 2 {
-                    flats.swap(0, 1);
-                    return true;
-                }
-            }
-            false
-        });
-        assert!(mutated, "test table should have flat ticks");
+        // Runs out of order.
+        let mut parts = table.to_parts();
+        let row = parts
+            .rows
+            .iter_mut()
+            .find(|row| row.runs.len() >= 2)
+            .expect("test table should have a multi-run row");
+        row.runs.swap(0, 1);
+        row.residuals.clear();
+        for r in &mut row.runs {
+            r.has_residuals = false;
+        }
         assert!(matches!(
             CompressedTable::from_parts(parts),
             Err(PartsError::Row { .. })
@@ -468,13 +392,14 @@ mod tests {
     }
 
     #[test]
-    fn structural_equality_detects_representation_and_value_changes() {
-        let flats = solve(RowRepr::Breakpoints);
-        let runs = solve(RowRepr::Runs);
-        // Same values, different skeleton storage: structurally unequal.
-        assert_ne!(flats, runs);
-        assert_eq!(flats, flats.clone());
-        let other = CompressedTable::solve(secs(1.0), 8, secs(200.0), 3);
-        assert_ne!(flats, other);
+    fn structural_equality_detects_build_and_value_changes() {
+        let jumped = solve();
+        let walked = CompressedTable::solve(secs(1.0), 8, secs(300.0), 3);
+        // Same rows, different event counts: structurally unequal.
+        assert_eq!(jumped.rows, walked.rows);
+        assert_ne!(jumped, walked);
+        assert_eq!(jumped, jumped.clone());
+        let other = CompressedTable::solve_event_driven(secs(1.0), 8, secs(200.0), 3);
+        assert_ne!(jumped, other);
     }
 }

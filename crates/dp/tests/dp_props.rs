@@ -2,7 +2,7 @@
 //! competing policies, grid-resolution relationships.
 
 use cyclesteal_core::prelude::*;
-use cyclesteal_dp::{evaluate_policy, EvalOptions, SolveOptions, ValueTable};
+use cyclesteal_dp::{evaluate_policy, CompressedTable, EvalOptions};
 use proptest::prelude::*;
 
 proptest! {
@@ -16,7 +16,7 @@ proptest! {
         u in 5.0f64..120.0,
         p in 0u32..3,
     ) {
-        let table = ValueTable::solve(secs(1.0), 8, secs(120.0), 2, SolveOptions::default());
+        let table = CompressedTable::solve_event_driven(secs(1.0), 8, secs(120.0), 2);
         let pv = evaluate_policy(
             &EqualPeriodsPolicy::new(m), secs(1.0), 8, secs(120.0), 2,
             EvalOptions::default()).unwrap();
@@ -31,8 +31,8 @@ proptest! {
     /// coarse schedule exactly).
     #[test]
     fn refinement_consistency(u in 4.0f64..64.0, p in 1u32..3) {
-        let coarse = ValueTable::solve(secs(1.0), 4, secs(64.0), 2, SolveOptions::default());
-        let fine = ValueTable::solve(secs(1.0), 8, secs(64.0), 2, SolveOptions::default());
+        let coarse = CompressedTable::solve_event_driven(secs(1.0), 4, secs(64.0), 2);
+        let fine = CompressedTable::solve_event_driven(secs(1.0), 8, secs(64.0), 2);
         let wc = coarse.value(p, secs(u));
         let wf = fine.value(p, secs(u));
         prop_assert!(wf + secs(1e-9) >= wc - secs(0.25),
@@ -44,7 +44,7 @@ proptest! {
     /// equals W^(p) up to a tick.
     #[test]
     fn reconstruction_realizes_the_value(u in 10.0f64..100.0, p in 1u32..3) {
-        let table = ValueTable::solve(secs(1.0), 16, secs(100.0), 2, SolveOptions::default());
+        let table = CompressedTable::solve_event_driven(secs(1.0), 16, secs(100.0), 2);
         let sched = table.episode(p, secs(u)).unwrap();
         let rows = table1(&table, &Opportunity::from_units(u, 1.0, p), &sched);
         let realized = adversary_value(&rows);
@@ -56,7 +56,7 @@ proptest! {
     /// p = 1 conformance with §5.2 at arbitrary (non-grid) lifespans.
     #[test]
     fn p1_conformance_off_grid(u in 3.0f64..190.0) {
-        let table = ValueTable::solve(secs(1.0), 64, secs(190.0), 1, SolveOptions::default());
+        let table = CompressedTable::solve_event_driven(secs(1.0), 64, secs(190.0), 1);
         let dp = table.value(1, secs(u));
         let cf = w1_exact(secs(u), secs(1.0));
         prop_assert!(dp <= cf + secs(0.02), "grid beats continuum at U={u}");

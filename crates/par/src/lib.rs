@@ -115,50 +115,6 @@ where
         .collect()
 }
 
-/// Runs one closure invocation per *segment* on `threads` scoped
-/// workers — the primitive behind the intra-level parallel `W^(p)[L]`
-/// sweeps in `cyclesteal-dp`, where each segment owns a disjoint
-/// `&mut` slice of the same row.
-///
-/// Unlike [`par_map_threads`] the segments are **consumed** (they
-/// typically carry mutable slice borrows, which are `Send` but not
-/// `Sync`) and nothing is returned: the work product is whatever `f`
-/// wrote through the segment. Segments are claimed from a shared
-/// queue, so a handful of uneven segments still balance; output
-/// determinism is the *caller's* contract (disjoint segments ⇒ the
-/// result is independent of which worker ran what).
-///
-/// Panics in `f` propagate to the caller when the scope joins.
-pub fn par_sweep_segments<S, F>(segments: Vec<S>, threads: usize, f: F)
-where
-    S: Send,
-    F: Fn(S) + Sync,
-{
-    let n = segments.len();
-    if n == 0 {
-        return;
-    }
-    let threads = threads.max(1).min(n);
-    if threads == 1 {
-        segments.into_iter().for_each(f);
-        return;
-    }
-    let queue = parking_lot::Mutex::new(segments.into_iter());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let queue = &queue;
-            let f = &f;
-            scope.spawn(move || loop {
-                // Claim under the lock, run outside it.
-                let Some(segment) = queue.lock().next() else {
-                    break;
-                };
-                f(segment);
-            });
-        }
-    });
-}
-
 /// Splits `0..len` into consecutive half-open ranges of at most `block`
 /// items — the blocking scheme the batch simulator fans over a
 /// [`WorkerPool`]. Consecutive, in-order blocks are what make a
@@ -247,52 +203,6 @@ mod tests {
     fn default_threads_is_sane() {
         let t = default_threads();
         assert!(t >= 1);
-    }
-
-    #[test]
-    fn sweep_segments_fill_disjoint_slices_deterministically() {
-        for threads in [1, 2, 8] {
-            let mut row = vec![0u64; 10_000];
-            let mut segments: Vec<(usize, &mut [u64])> = Vec::new();
-            let mut rest: &mut [u64] = &mut row;
-            let mut offset = 0usize;
-            while !rest.is_empty() {
-                let take = rest.len().min(1337);
-                let (seg, tail) = rest.split_at_mut(take);
-                segments.push((offset, seg));
-                offset += take;
-                rest = tail;
-            }
-            par_sweep_segments(segments, threads, |(offset, seg): (usize, &mut [u64])| {
-                for (i, slot) in seg.iter_mut().enumerate() {
-                    *slot = ((offset + i) as u64) * 3 + 1;
-                }
-            });
-            for (i, &v) in row.iter().enumerate() {
-                assert_eq!(v, (i as u64) * 3 + 1, "slot {i} at {threads} threads");
-            }
-        }
-    }
-
-    #[test]
-    fn sweep_segments_empty_and_single() {
-        par_sweep_segments(Vec::<u32>::new(), 4, |_| panic!("no segments"));
-        let mut hit = std::sync::atomic::AtomicUsize::new(0);
-        par_sweep_segments(vec![7u32], 4, |v| {
-            assert_eq!(v, 7);
-            hit.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(*hit.get_mut(), 1);
-    }
-
-    #[test]
-    #[should_panic]
-    fn sweep_segment_panics_propagate() {
-        par_sweep_segments(vec![0u32, 1, 2, 3], 2, |v| {
-            if v == 2 {
-                panic!("boom");
-            }
-        });
     }
 
     #[test]

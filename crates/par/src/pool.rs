@@ -1,7 +1,7 @@
 //! A persistent worker pool for long-lived services.
 //!
-//! The scoped helpers in the crate root ([`crate::par_map_threads`],
-//! [`crate::par_sweep_segments`]) spin threads up per call — right for
+//! The scoped helpers in the crate root ([`crate::par_map_threads`])
+//! spin threads up per call — right for
 //! batch sweeps, wrong for a server that fields thousands of small
 //! requests: per-request thread spawn latency would dominate the work.
 //! [`WorkerPool`] keeps a fixed set of workers alive for the life of

@@ -974,7 +974,6 @@ impl Broker {
                 ("cyclesteal_cache_shard_hits", s.hits),
                 ("cyclesteal_cache_shard_misses", s.misses),
                 ("cyclesteal_cache_shard_evictions", s.evictions),
-                ("cyclesteal_cache_shard_entries", s.entries as u64),
                 (
                     "cyclesteal_cache_shard_compressed_entries",
                     s.compressed_entries as u64,

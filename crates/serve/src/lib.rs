@@ -31,8 +31,8 @@
 //!
 //! Answers are **bit-identical** to direct `TableCache` queries — the
 //! broker serves the same `CompressedTable` values every other path in
-//! the repository serves (the equivalence suite pins compressed ==
-//! dense), and `tests/serve_props.rs` pins broker == direct under
+//! the repository serves (the equivalence suite pins the tables against a
+//! dense oracle), and `tests/serve_props.rs` pins broker == direct under
 //! concurrent multi-client load.
 //!
 //! ## Failure semantics

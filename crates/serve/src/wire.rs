@@ -54,7 +54,7 @@
 //! ```text
 //! status u8       0 = ok, 1 = error
 //! ok, op 1: count u32, then per answer (16 B): value_bits u64 · value_ticks i64
-//! ok, op 2: hits u64 · misses u64 · evictions u64 · entries u64 ·
+//! ok, op 2: hits u64 · misses u64 · evictions u64 · reserved u64 ·
 //!           compressed_entries u64 · resident_bytes u64 ·
 //!           shed u64 · deadline_rejects u64 · solve_panics u64 ·
 //!           flight_retries u64 · snapshot_failures u64 ·
@@ -543,7 +543,9 @@ pub fn encode_stats(stats: &BrokerStats) -> Vec<u8> {
         stats.cache.hits,
         stats.cache.misses,
         stats.cache.evictions,
-        stats.cache.entries as u64,
+        // Reserved: the retired dense-table entry count, always 0, kept
+        // so clients built against the old layout still decode.
+        0,
         stats.cache.compressed_entries as u64,
         stats.cache.resident_bytes as u64,
         stats.resilience.shed,
@@ -575,11 +577,12 @@ pub fn encode_stats(stats: &BrokerStats) -> Vec<u8> {
 pub fn decode_stats(payload: &[u8]) -> io::Result<BrokerStats> {
     let body = response_body(payload)?;
     let mut rd = Reader { buf: body, pos: 0 };
+    let (hits, misses, evictions) = (rd.u64()?, rd.u64()?, rd.u64()?);
+    rd.u64()?; // reserved slot (see `encode_stats`)
     let cache = CacheStats {
-        hits: rd.u64()?,
-        misses: rd.u64()?,
-        evictions: rd.u64()?,
-        entries: rd.u64()? as usize,
+        hits,
+        misses,
+        evictions,
         compressed_entries: rd.u64()? as usize,
         resident_bytes: rd.u64()? as usize,
     };
@@ -924,7 +927,6 @@ mod tests {
                 hits: 5,
                 misses: 2,
                 evictions: 1,
-                entries: 0,
                 compressed_entries: 2,
                 resident_bytes: 16_000_000,
             },
@@ -937,7 +939,10 @@ mod tests {
                 tenant_sheds: 6,
             },
         };
-        let decoded = decode_stats(&encode_stats(&stats)).unwrap();
+        let bytes = encode_stats(&stats);
+        // Status byte, three counters, then the reserved slot: zero.
+        assert_eq!(bytes[25..33], [0u8; 8], "reserved slot must stay 0");
+        let decoded = decode_stats(&bytes).unwrap();
         assert_eq!(decoded.endpoints, stats.endpoints);
         assert_eq!(decoded.resilience, stats.resilience);
         let (a, b) = (decoded.cache, stats.cache);
@@ -946,7 +951,6 @@ mod tests {
                 a.hits,
                 a.misses,
                 a.evictions,
-                a.entries,
                 a.compressed_entries,
                 a.resident_bytes
             ),
@@ -954,7 +958,6 @@ mod tests {
                 b.hits,
                 b.misses,
                 b.evictions,
-                b.entries,
                 b.compressed_entries,
                 b.resident_bytes
             )

@@ -187,7 +187,6 @@ fn op4_pull_reconciles_exactly_with_broker_stats() {
         ("cyclesteal_cache_shard_hits", stats.cache.hits),
         ("cyclesteal_cache_shard_misses", stats.cache.misses),
         ("cyclesteal_cache_shard_evictions", stats.cache.evictions),
-        ("cyclesteal_cache_shard_entries", stats.cache.entries as u64),
         (
             "cyclesteal_cache_shard_compressed_entries",
             stats.cache.compressed_entries as u64,

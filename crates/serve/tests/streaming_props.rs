@@ -2,14 +2,14 @@
 //!
 //! The contract under test: a sweep answered as arithmetic-run
 //! descriptors and expanded client-side is **bit-identical** to asking
-//! the non-streaming op-1 path for every tick of the window — under
-//! both row representations — and a damaged response can only ever
+//! the non-streaming op-1 path for every tick of the window — for both
+//! table builds — and a damaged response can only ever
 //! surface as a *detected* transport error (CRC-caught, classified
 //! transient), never as a believed wrong answer:
 //!
 //! * `value_runs` → op-3 codec → `expand_value_runs` reproduces
-//!   `value_ticks` at every covered tick, for [`RowRepr::Breakpoints`]
-//!   and [`RowRepr::Runs`] alike — and the two representations emit
+//!   `value_ticks` at every covered tick, for the event-driven build
+//!   and the tick-walking reference alike — and the two builds emit
 //!   *identical descriptors*, not merely equal expansions.
 //! * The broker's sweep entry matches its own op-1 batch answers bit
 //!   for bit at every tick of the window.
@@ -21,23 +21,12 @@
 //!   rather than expanded.
 
 use cyclesteal_core::time::secs;
-use cyclesteal_dp::value::{RowRepr, SolveOptions};
 use cyclesteal_dp::{expand_value_runs, CompressedTable, Grid};
 use cyclesteal_serve::{wire, Broker, BrokerConfig, GuaranteeQuery, SweepQuery};
 use proptest::prelude::*;
 
-fn solve_repr(q: u32, max_u: f64, p: u32, repr: RowRepr) -> CompressedTable {
-    CompressedTable::solve_with(
-        secs(1.0),
-        q,
-        secs(max_u),
-        p,
-        SolveOptions {
-            keep_policy: false,
-            repr,
-            ..SolveOptions::default()
-        },
-    )
+fn solve(q: u32, max_u: f64, p: u32) -> CompressedTable {
+    CompressedTable::solve_event_driven(secs(1.0), q, secs(max_u), p)
 }
 
 /// Maps two unit draws onto a valid `(first_tick, count)` window of a
@@ -53,8 +42,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Descriptors → wire → expansion reproduces the exact staircase
-    /// under both representations, and the representations agree on the
-    /// descriptors themselves.
+    /// for both builds, and the builds agree on the descriptors
+    /// themselves.
     #[test]
     fn streamed_windows_expand_bit_identically(
         q in 2u32..12,
@@ -63,12 +52,12 @@ proptest! {
         a in 0.0f64..1.0,
         b in 0.0f64..1.0,
     ) {
-        let flat = solve_repr(q, max_u, p, RowRepr::Breakpoints);
-        let runs = solve_repr(q, max_u, p, RowRepr::Runs);
-        let (first, count) = window(flat.max_ticks(), a, b);
-        let descriptors = flat.value_runs(p, first, count);
-        prop_assert_eq!(&descriptors, &runs.value_runs(p, first, count),
-            "representations must emit identical descriptors");
+        let walked = CompressedTable::solve(secs(1.0), q, secs(max_u), p);
+        let runs = solve(q, max_u, p);
+        let (first, count) = window(walked.max_ticks(), a, b);
+        let descriptors = runs.value_runs(p, first, count);
+        prop_assert_eq!(&descriptors, &walked.value_runs(p, first, count),
+            "builds must emit identical descriptors");
 
         // Through the real op-3 response codec, frame and all.
         let mut frame = Vec::new();
@@ -78,8 +67,8 @@ proptest! {
         prop_assert_eq!(expanded.len() as i64, count);
         for (j, &v) in expanded.iter().enumerate() {
             let l = first + j as i64;
-            prop_assert_eq!(v, flat.value_ticks(p, l), "tick {}", l);
-            prop_assert_eq!(v, runs.value_ticks(p, l), "tick {} (runs)", l);
+            prop_assert_eq!(v, runs.value_ticks(p, l), "tick {}", l);
+            prop_assert_eq!(v, walked.value_ticks(p, l), "tick {} (tick walk)", l);
         }
     }
 
@@ -94,7 +83,7 @@ proptest! {
         a in 0.0f64..1.0,
         b in 0.0f64..1.0,
     ) {
-        let table = solve_repr(q, max_u, p, RowRepr::Runs);
+        let table = solve(q, max_u, p);
         let (first, count) = window(table.max_ticks(), a, b);
         let mut frame = Vec::new();
         wire::write_frame(&mut frame, &wire::encode_runs(&table.value_runs(p, first, count)))

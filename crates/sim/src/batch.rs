@@ -458,19 +458,13 @@ impl BatchSim {
 mod tests {
     use super::*;
     use cyclesteal_core::time::secs;
-    use cyclesteal_dp::{InnerLoop, RowRepr, SolveOptions};
 
     fn table(q: u32, p: u32, l_ticks: i64) -> Arc<CompressedTable> {
-        Arc::new(CompressedTable::solve_with(
+        Arc::new(CompressedTable::solve_event_driven(
             secs(1.0),
             q,
             secs(l_ticks as f64 / q as f64),
             p,
-            SolveOptions {
-                inner: InnerLoop::EventDriven,
-                repr: RowRepr::Runs,
-                ..SolveOptions::default()
-            },
         ))
     }
 

@@ -18,7 +18,7 @@
 
 use cyclesteal_core::model::Opportunity;
 use cyclesteal_core::time::secs;
-use cyclesteal_dp::{CompressedOptimalPolicy, CompressedTable, InnerLoop, RowRepr, SolveOptions};
+use cyclesteal_dp::{CompressedOptimalPolicy, CompressedTable};
 use cyclesteal_workloads::{OwnerEvent, OwnerTrace, TaskBag, TaskDist};
 use now_sim::{
     BatchAdversary, BatchConfig, BatchSim, DoneReason, DriverKind, LenderConfig, NowSim,
@@ -26,16 +26,11 @@ use now_sim::{
 use std::sync::Arc;
 
 fn table(q: u32, p: u32, l_ticks: i64) -> Arc<CompressedTable> {
-    Arc::new(CompressedTable::solve_with(
+    Arc::new(CompressedTable::solve_event_driven(
         secs(1.0),
         q,
         secs(l_ticks as f64 / q as f64),
         p,
-        SolveOptions {
-            inner: InnerLoop::EventDriven,
-            repr: RowRepr::Runs,
-            ..SolveOptions::default()
-        },
     ))
 }
 

@@ -23,17 +23,22 @@
 //! truncation and bit corruption are detected per section before any of
 //! the payload is interpreted. The header payload records the grid
 //! (`setup_bits`, `ticks_per_setup`), extent (`max_ticks`,
-//! `max_interrupts`), row representation and build-event counter; each
-//! row payload stores its skeleton **natively** — flat-tick lists as
-//! raw `i64`s, run-backed rows as `(start, step_fx, len, has_residuals)`
-//! descriptors plus the shared residual byte stream, exactly mirroring
+//! `max_interrupts`), a row-representation tag and the build-event
+//! counter; each row payload repeats the tag and stores its runs
+//! **natively** — `(start, step_fx, len, has_residuals)` descriptors
+//! plus the shared residual byte stream, exactly mirroring
 //! [`cyclesteal_dp::snapshot::RowParts`]. Nothing is re-encoded, so
 //! `load(save(t))` is **bit-identical** to `t` (structural equality,
 //! pinned by the property suite in `tests/store_props.rs`).
 //!
+//! The tag is always the runs tag. Tag 0 marked flat-tick-list rows, a
+//! representation the solver no longer has: a snapshot carrying it
+//! decodes to [`StoreError::FlatListRows`] (and a warm start
+//! quarantines it), so the table is simply re-solved on first use.
+//!
 //! Decoding is defensive end to end: unknown magic, unsupported
-//! versions, truncated sections, checksum mismatches and structurally
-//! invalid parts (the validation of
+//! versions, truncated sections, checksum mismatches, retired or unknown
+//! tags and structurally invalid parts (the validation of
 //! [`CompressedTable::from_parts`]) all return [`StoreError`] — never a
 //! panic, never a silently wrong table.
 //!
@@ -41,9 +46,9 @@
 //!
 //! [`CacheSnapshotExt`] extends [`TableCache`] with directory-level
 //! persistence: [`CacheSnapshotExt::snapshot_to_dir`] writes every
-//! cached compressed table (atomically: temp file + rename) under a
-//! key-derived name, [`CacheSnapshotExt::warm_from_dir`] loads every
-//! `*.cst` snapshot back and
+//! cached table (atomically: temp file + rename) under a key-derived
+//! name, [`CacheSnapshotExt::warm_from_dir`] loads every `*.cst`
+//! snapshot back, in file-name order, and
 //! [`TableCache::admit_compressed`]s it, so the next
 //! `get_compressed` covering query is a hit instead of a solve.
 //! [`evict_hook_to_dir`] packages the same save as a
@@ -75,7 +80,7 @@ pub mod crc;
 use cyclesteal_core::time::Time;
 use cyclesteal_dp::compressed::CompressedTable;
 use cyclesteal_dp::snapshot::{PartsError, RowParts, RunParts, TableParts};
-use cyclesteal_dp::{RowRepr, TableCache};
+use cyclesteal_dp::TableCache;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -91,9 +96,10 @@ pub const FORMAT_VERSION: u32 = 1;
 /// File extension of directory snapshots (`q…-p…-s….cst`).
 pub const SNAPSHOT_EXTENSION: &str = "cst";
 
-/// Row-payload tag: flat-tick list skeleton.
+/// Retired representation tag: flat-tick-list rows. Recognized only to
+/// reject it as [`StoreError::FlatListRows`].
 const TAG_FLATS: u8 = 0;
-/// Row-payload tag: arithmetic-run skeleton.
+/// Representation tag: arithmetic-run rows, the only kind written.
 const TAG_RUNS: u8 = 1;
 
 /// Why a snapshot could not be written or read back.
@@ -116,6 +122,12 @@ pub enum StoreError {
     /// A field holds a value the format does not admit (unknown row
     /// tag, impossible count, non-finite setup, …).
     Malformed(String),
+    /// The snapshot stores flat-tick-list rows (representation tag 0),
+    /// which the solver no longer has; the table must be re-solved.
+    FlatListRows {
+        /// Which section carried the tag ("header", or "row N").
+        section: String,
+    },
     /// The decoded parts failed [`CompressedTable::from_parts`]'s
     /// structural validation.
     Invalid(PartsError),
@@ -137,6 +149,9 @@ impl std::fmt::Display for StoreError {
                 write!(f, "snapshot corrupt: checksum mismatch in {section}")
             }
             StoreError::Malformed(what) => write!(f, "snapshot malformed: {what}"),
+            StoreError::FlatListRows { section } => {
+                write!(f, "snapshot stores retired flat-list rows ({section})")
+            }
             StoreError::Invalid(e) => write!(f, "snapshot decodes to an invalid table: {e}"),
         }
     }
@@ -180,10 +195,11 @@ fn push_i64(out: &mut Vec<u8>, v: i64) {
 
 /// Appends one framed section: `len`, payload, CRC-32 of the payload.
 fn push_section(out: &mut Vec<u8>, payload: &[u8]) {
-    // lint:allow(lossy-cast): a section wraps u32 only past half a
-    // billion breakpoints in one row, far beyond any table the
-    // compressor emits — and a wrapped length cannot misparse silently,
-    // the CRC framing makes an oversized section fail closed at load
+    // lint:allow(lossy-cast): a section wraps u32 only past ~200
+    // million run descriptors (or 4 GiB of residuals) in one row, far
+    // beyond any table the compressor emits — and a wrapped length
+    // cannot misparse silently, the CRC framing makes an oversized
+    // section fail closed at load
     push_u32(out, payload.len() as u32);
     out.extend_from_slice(payload);
     push_u32(out, crc::crc32(payload));
@@ -191,39 +207,22 @@ fn push_section(out: &mut Vec<u8>, payload: &[u8]) {
 
 fn encode_row(row: &RowParts) -> Vec<u8> {
     let mut p = Vec::new();
-    match row {
-        RowParts::Flats { zero_until, flats } => {
-            p.push(TAG_FLATS);
-            push_i64(&mut p, *zero_until);
-            push_u64(&mut p, flats.len() as u64);
-            p.reserve(flats.len() * 8);
-            for &f in flats {
-                push_i64(&mut p, f);
-            }
-        }
-        RowParts::Runs {
-            zero_until,
-            runs,
-            residuals,
-        } => {
-            p.push(TAG_RUNS);
-            push_i64(&mut p, *zero_until);
-            push_u64(&mut p, runs.len() as u64);
-            push_u64(&mut p, residuals.len() as u64);
-            p.reserve(runs.len() * 21 + residuals.len());
-            for r in runs {
-                push_i64(&mut p, r.start);
-                push_i64(&mut p, r.step_fx);
-                push_u32(&mut p, r.len);
-                p.push(u8::from(r.has_residuals));
-            }
-            for &b in residuals {
-                // lint:allow(lossy-cast): two's-complement byte
-                // reinterpret of the i8 residual, inverted by the
-                // matching `as i8` in decode_row
-                p.push(b as u8);
-            }
-        }
+    p.push(TAG_RUNS);
+    push_i64(&mut p, row.zero_until);
+    push_u64(&mut p, row.runs.len() as u64);
+    push_u64(&mut p, row.residuals.len() as u64);
+    p.reserve(row.runs.len() * 21 + row.residuals.len());
+    for r in &row.runs {
+        push_i64(&mut p, r.start);
+        push_i64(&mut p, r.step_fx);
+        push_u32(&mut p, r.len);
+        p.push(u8::from(r.has_residuals));
+    }
+    for &b in &row.residuals {
+        // lint:allow(lossy-cast): two's-complement byte
+        // reinterpret of the i8 residual, inverted by the
+        // matching `as i8` in decode_row
+        p.push(b as u8);
     }
     p
 }
@@ -240,10 +239,7 @@ pub fn to_bytes(table: &CompressedTable) -> Vec<u8> {
     push_u32(&mut header, parts.ticks_per_setup);
     push_u32(&mut header, parts.max_interrupts);
     push_i64(&mut header, parts.max_ticks);
-    header.push(match parts.repr {
-        RowRepr::Breakpoints => TAG_FLATS,
-        RowRepr::Runs => TAG_RUNS,
-    });
+    header.push(TAG_RUNS);
     push_u64(&mut header, parts.events);
     // lint:allow(lossy-cast): the row count is max_interrupts + 1 and
     // max_interrupts is itself a u32 header field two lines up
@@ -325,61 +321,50 @@ fn decode_row(payload: &[u8], level: usize) -> Result<RowParts, StoreError> {
         buf: payload,
         pos: 0,
     };
-    let tag = r.u8("row tag")?;
-    let zero_until = r.i64("row zero_until")?;
-    let row = match tag {
+    match r.u8("row tag")? {
+        TAG_RUNS => {}
         TAG_FLATS => {
-            let count = r.u64("flat count")? as usize;
-            // The count must match the section exactly: a corrupt count
-            // is caught before any allocation larger than the payload.
-            let bytes = r.take(
-                count.checked_mul(8).ok_or(StoreError::Truncated("flats"))?,
-                "flat ticks",
-            )?;
-            let flats = bytes
-                .chunks_exact(8)
-                .map(|c| i64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-                .collect();
-            RowParts::Flats { zero_until, flats }
-        }
-        TAG_RUNS => {
-            let run_count = r.u64("run count")? as usize;
-            let res_count = r.u64("residual count")? as usize;
-            let run_bytes = r.take(
-                run_count
-                    .checked_mul(21)
-                    .ok_or(StoreError::Truncated("runs"))?,
-                "run descriptors",
-            )?;
-            let runs = run_bytes
-                .chunks_exact(21)
-                .map(|c| RunParts {
-                    start: i64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]),
-                    step_fx: i64::from_le_bytes([
-                        c[8], c[9], c[10], c[11], c[12], c[13], c[14], c[15],
-                    ]),
-                    len: u32::from_le_bytes([c[16], c[17], c[18], c[19]]),
-                    has_residuals: c[20] != 0,
-                })
-                .collect();
-            let residuals = r
-                .take(res_count, "residual stream")?
-                .iter()
-                // lint:allow(lossy-cast): inverse of encode_row's
-                // `as u8` — the same two's-complement byte reinterpret
-                .map(|&b| b as i8)
-                .collect();
-            RowParts::Runs {
-                zero_until,
-                runs,
-                residuals,
-            }
+            return Err(StoreError::FlatListRows {
+                section: format!("row {level}"),
+            })
         }
         other => {
             return Err(StoreError::Malformed(format!(
                 "unknown row tag {other} at level {level}"
             )))
         }
+    }
+    let zero_until = r.i64("row zero_until")?;
+    let run_count = r.u64("run count")? as usize;
+    let res_count = r.u64("residual count")? as usize;
+    // The counts must match the section exactly: a corrupt count is
+    // caught before any allocation larger than the payload.
+    let run_bytes = r.take(
+        run_count
+            .checked_mul(21)
+            .ok_or(StoreError::Truncated("runs"))?,
+        "run descriptors",
+    )?;
+    let runs = run_bytes
+        .chunks_exact(21)
+        .map(|c| RunParts {
+            start: i64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]),
+            step_fx: i64::from_le_bytes([c[8], c[9], c[10], c[11], c[12], c[13], c[14], c[15]]),
+            len: u32::from_le_bytes([c[16], c[17], c[18], c[19]]),
+            has_residuals: c[20] != 0,
+        })
+        .collect();
+    let residuals = r
+        .take(res_count, "residual stream")?
+        .iter()
+        // lint:allow(lossy-cast): inverse of encode_row's
+        // `as u8` — the same two's-complement byte reinterpret
+        .map(|&b| b as i8)
+        .collect();
+    let row = RowParts {
+        zero_until,
+        runs,
+        residuals,
     };
     if !r.done() {
         return Err(StoreError::Malformed(format!(
@@ -421,11 +406,15 @@ pub fn from_bytes(bytes: &[u8]) -> Result<CompressedTable, StoreError> {
     let ticks_per_setup = h.u32("ticks_per_setup")?;
     let max_interrupts = h.u32("max_interrupts")?;
     let max_ticks = h.i64("max_ticks")?;
-    let repr = match h.u8("repr")? {
-        TAG_FLATS => RowRepr::Breakpoints,
-        TAG_RUNS => RowRepr::Runs,
+    match h.u8("repr")? {
+        TAG_RUNS => {}
+        TAG_FLATS => {
+            return Err(StoreError::FlatListRows {
+                section: "header".into(),
+            })
+        }
         other => return Err(StoreError::Malformed(format!("unknown repr tag {other}"))),
-    };
+    }
     let events = h.u64("events")?;
     let row_count = h.u32("row count")?;
     if !h.done() {
@@ -453,7 +442,6 @@ pub fn from_bytes(bytes: &[u8]) -> Result<CompressedTable, StoreError> {
         ticks_per_setup,
         max_ticks,
         max_interrupts,
-        repr,
         events,
         rows,
     })?)
@@ -589,9 +577,10 @@ pub struct WarmReport {
     /// fails wholesale because one file rotted — the table is simply
     /// re-solved on first use.
     pub skipped: Vec<(PathBuf, StoreError)>,
-    /// Snapshot files whose *bytes* are provably bad (wrong magic,
-    /// unsupported version, truncation, checksum mismatch, structural
-    /// invalidity) and were quarantined: renamed with a `.corrupt`
+    /// Snapshot files whose *bytes* are provably bad or unreadable by
+    /// this build (wrong magic, unsupported version, truncation, checksum
+    /// mismatch, retired flat-list rows, structural invalidity) and were
+    /// quarantined: renamed with a `.corrupt`
     /// suffix so they stop matching the `*.cst` glob, keep their bytes
     /// for post-mortem, and never waste another warm start. The path
     /// recorded is the original (pre-rename) one.
@@ -606,9 +595,12 @@ pub trait CacheSnapshotExt {
     /// written.
     fn snapshot_to_dir(&self, dir: &Path) -> Result<usize, StoreError>;
 
-    /// Loads every `*.cst` snapshot in `dir` and admits it into the
-    /// cache, so covering `get_compressed` queries become hits instead
-    /// of solves. A missing directory is an empty warm start; unreadable
+    /// Loads every `*.cst` snapshot in `dir`, in file-name order, and
+    /// admits it into the cache, so covering `get_compressed` queries
+    /// become hits instead of solves. The order fixes the LRU stamps the
+    /// warm start assigns, and with them which tables a memory budget
+    /// keeps: the last snapshots by name are the most recently used.
+    /// A missing directory is an empty warm start; unreadable
     /// files are reported in [`WarmReport::skipped`] and provably
     /// corrupt ones are renamed `*.corrupt` and reported in
     /// [`WarmReport::quarantined`] — neither is fatal.
@@ -632,11 +624,18 @@ impl CacheSnapshotExt for TableCache {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(report),
             Err(e) => return Err(e.into()),
         };
+        // `read_dir` order is unspecified; sort so the admission order
+        // (and with it LRU recency and budget survivors) is the same on
+        // every filesystem.
+        let mut paths = Vec::new();
         for entry in entries {
             let path = entry?.path();
-            if path.extension().and_then(|e| e.to_str()) != Some(SNAPSHOT_EXTENSION) {
-                continue;
+            if path.extension().and_then(|e| e.to_str()) == Some(SNAPSHOT_EXTENSION) {
+                paths.push(path);
             }
+        }
+        paths.sort();
+        for path in paths {
             match load(&path) {
                 Ok(table) => {
                     self.admit_compressed(Arc::new(table));
@@ -709,35 +708,134 @@ pub fn evict_hook_to_dir_counting(
 mod tests {
     use super::*;
     use cyclesteal_core::time::secs;
-    use cyclesteal_dp::{InnerLoop, SolveOptions};
 
-    fn table(repr: RowRepr) -> CompressedTable {
-        CompressedTable::solve_with(
-            secs(1.0),
-            8,
-            secs(400.0),
-            3,
-            SolveOptions {
-                keep_policy: false,
-                inner: InnerLoop::EventDriven,
-                repr,
-                ..SolveOptions::default()
-            },
-        )
+    fn table() -> CompressedTable {
+        CompressedTable::solve_event_driven(secs(1.0), 8, secs(400.0), 3)
+    }
+
+    /// Overwrites the representation-tag byte at `payload_offset` inside
+    /// the section starting at `section_at` and re-seals the section's
+    /// CRC, so only the tag itself is wrong.
+    fn retag(bytes: &mut [u8], section_at: usize, payload_offset: usize, tag: u8) {
+        let len = u32::from_le_bytes([
+            bytes[section_at],
+            bytes[section_at + 1],
+            bytes[section_at + 2],
+            bytes[section_at + 3],
+        ]) as usize;
+        let payload = section_at + 4;
+        bytes[payload + payload_offset] = tag;
+        let crc = crc::crc32(&bytes[payload..payload + len]);
+        bytes[payload + len..payload + len + 4].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// Offset of the header section and of the first row section.
+    const HEADER_AT: usize = 12;
+    /// Header payload: setup 8 + ticks_per_setup 4 + max_interrupts 4 +
+    /// max_ticks 8, then the representation tag.
+    const HEADER_TAG: usize = 24;
+
+    fn first_row_at(bytes: &[u8]) -> usize {
+        let header_len = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]);
+        HEADER_AT + 4 + header_len as usize + 4
     }
 
     #[test]
     fn bytes_round_trip_bit_identically() {
-        for repr in [RowRepr::Breakpoints, RowRepr::Runs] {
-            let t = table(repr);
+        let walked = CompressedTable::solve(secs(1.0), 8, secs(400.0), 3);
+        for t in [table(), walked] {
             let back = from_bytes(&to_bytes(&t)).unwrap();
-            assert_eq!(t, back, "round trip at {repr:?}");
+            assert_eq!(t, back);
         }
     }
 
     #[test]
+    fn flat_list_tags_decode_to_a_typed_error() {
+        let bytes = to_bytes(&table());
+        // In the header…
+        let mut bad = bytes.clone();
+        retag(&mut bad, HEADER_AT, HEADER_TAG, TAG_FLATS);
+        assert!(matches!(
+            from_bytes(&bad),
+            Err(StoreError::FlatListRows { section }) if section == "header"
+        ));
+        // …or in a row of an otherwise run-tagged snapshot.
+        let mut bad = bytes.clone();
+        retag(&mut bad, first_row_at(&bytes), 0, TAG_FLATS);
+        assert!(matches!(
+            from_bytes(&bad),
+            Err(StoreError::FlatListRows { section }) if section == "row 0"
+        ));
+        // Any other tag is malformed, not a flat list.
+        let mut bad = bytes.clone();
+        retag(&mut bad, first_row_at(&bytes), 0, 7);
+        assert!(matches!(from_bytes(&bad), Err(StoreError::Malformed(_))));
+        let mut bad = bytes;
+        retag(&mut bad, HEADER_AT, HEADER_TAG, 7);
+        assert!(matches!(from_bytes(&bad), Err(StoreError::Malformed(_))));
+    }
+
+    #[test]
+    fn warm_start_quarantines_flat_list_snapshots() {
+        let dir = std::env::temp_dir().join(format!("cyclesteal-flats-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let t = table();
+        let mut bytes = to_bytes(&t);
+        retag(&mut bytes, HEADER_AT, HEADER_TAG, TAG_FLATS);
+        std::fs::write(dir.join("old.cst"), &bytes).unwrap();
+        // Plain writes, not `save`: the save fault hook is process-global.
+        std::fs::write(dir.join(snapshot_file_name(&t)), to_bytes(&t)).unwrap();
+
+        let cache = TableCache::new();
+        let report = cache.warm_from_dir(&dir).unwrap();
+        assert_eq!(report.loaded, 1, "the run-backed snapshot still warms");
+        assert_eq!(report.quarantined.len(), 1);
+        assert_eq!(report.quarantined[0].0, dir.join("old.cst"));
+        assert!(matches!(
+            report.quarantined[0].1,
+            StoreError::FlatListRows { .. }
+        ));
+        assert!(dir.join("old.cst.corrupt").exists());
+
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn warm_start_admits_in_file_name_order() {
+        // A budget that fits exactly one table: each admission evicts the
+        // previous one, so the survivor is the last snapshot admitted —
+        // which must be the last by file name, whatever order the
+        // filesystem lists the directory in.
+        let dir = std::env::temp_dir().join(format!("cyclesteal-order-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let tables: Vec<CompressedTable> = [(1.0, 8u32), (2.0, 4), (3.0, 16), (4.0, 8), (5.0, 2)]
+            .into_iter()
+            .map(|(setup, q)| CompressedTable::solve_event_driven(secs(setup), q, secs(200.0), 2))
+            .collect();
+        for t in &tables {
+            // Plain writes, not `save`: the save fault hook is
+            // process-global.
+            std::fs::write(dir.join(snapshot_file_name(t)), to_bytes(t)).unwrap();
+        }
+        let largest = tables.iter().map(|t| t.memory_bytes()).max().unwrap();
+        let last = tables.iter().max_by_key(|t| snapshot_file_name(t)).unwrap();
+
+        let cache = TableCache::new();
+        cache.set_memory_budget(Some(largest));
+        let report = cache.warm_from_dir(&dir).unwrap();
+        assert_eq!(report.loaded, 5);
+        let survivors = cache.compressed_tables();
+        assert_eq!(survivors.len(), 1);
+        assert_eq!(*survivors[0], *last);
+
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn wrong_magic_and_version_are_rejected() {
-        let bytes = to_bytes(&table(RowRepr::Runs));
+        let bytes = to_bytes(&table());
         let mut bad = bytes.clone();
         bad[0] ^= 0xFF;
         assert!(matches!(from_bytes(&bad), Err(StoreError::BadMagic)));
@@ -755,7 +853,7 @@ mod tests {
         // Single-byte flips are always caught by the CRC; a *crafted*
         // header (NaN setup, CRC recomputed to match) must still come
         // back as Malformed — never reach Time::new's panic.
-        let mut bytes = to_bytes(&table(RowRepr::Runs));
+        let mut bytes = to_bytes(&table());
         // Layout: magic 8 + version 4 + header len 4, then the header
         // payload (setup bits first), then its CRC.
         let header_len = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]) as usize;
@@ -839,24 +937,28 @@ mod tests {
     fn save_retries_past_transient_injected_failures() {
         // NOTE: set_save_fault is process-global; this is the only unit
         // test in this crate that arms it, and it disarms before exiting.
+        // The hooks only ever fire for this test's own path, so saves by
+        // tests running concurrently are neither counted nor failed.
         let dir = std::env::temp_dir().join(format!("cyclesteal-retry-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let t = table(RowRepr::Runs);
+        let t = table();
         let path = dir.join(snapshot_file_name(&t));
 
         // Fail the first attempt only: the retry succeeds.
         let calls = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let c = calls.clone();
-        set_save_fault(Some(Box::new(move |_| {
-            c.fetch_add(1, std::sync::atomic::Ordering::Relaxed) == 0
+        let own = path.clone();
+        set_save_fault(Some(Box::new(move |p| {
+            p == own && c.fetch_add(1, std::sync::atomic::Ordering::Relaxed) == 0
         })));
         save(&t, &path).expect("retry rides past one transient failure");
         assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), 2);
         assert_eq!(load(&path).unwrap(), t);
 
         // Fail every attempt: the last error surfaces, no temp litter.
-        set_save_fault(Some(Box::new(|_| true)));
+        let own = path.clone();
+        set_save_fault(Some(Box::new(move |p| p == own)));
         assert!(matches!(save(&t, &path), Err(StoreError::Io(_))));
         set_save_fault(None);
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
@@ -880,7 +982,7 @@ mod tests {
 
         let failures = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let hook = evict_hook_to_dir_counting(dir.clone(), failures.clone());
-        let t = Arc::new(table(RowRepr::Runs));
+        let t = Arc::new(table());
         hook(&t); // must not panic
         hook(&t);
         assert_eq!(failures.load(std::sync::atomic::Ordering::Relaxed), 2);

@@ -1,7 +1,6 @@
 //! Persistence property tests: `load(save(table))` must be
 //! **bit-identical** to the original (structural `PartialEq`, which
-//! covers the skeleton representation byte for byte) across both
-//! [`RowRepr`] variants, solve inner loops, thread counts and the
+//! covers the stored runs byte for byte) for both table builds and the
 //! degenerate lifespans `L ∈ {0, 1 tick, large}` — and every corruption
 //! of the byte stream (truncation, bit-flips, wrong version) must come
 //! back as an error, never a panic and never a silently different
@@ -9,57 +8,29 @@
 
 use cyclesteal_core::time::secs;
 use cyclesteal_dp::compressed::CompressedTable;
-use cyclesteal_dp::{InnerLoop, RowRepr, SolveOptions};
 use cyclesteal_store::{from_bytes, load, save, to_bytes, StoreError};
 use proptest::prelude::*;
 
-fn solve(
-    q: u32,
-    max_u: f64,
-    p: u32,
-    repr: RowRepr,
-    inner: InnerLoop,
-    threads: usize,
-) -> CompressedTable {
-    CompressedTable::solve_with(
-        secs(1.0),
-        q,
-        secs(max_u),
-        p,
-        SolveOptions {
-            keep_policy: false,
-            inner,
-            repr,
-            threads,
-        },
-    )
-}
-
-fn reprs() -> [RowRepr; 2] {
-    [RowRepr::Breakpoints, RowRepr::Runs]
+/// The production event-driven build, or the tick-walking reference.
+fn solve(q: u32, max_u: f64, p: u32, event_driven: bool) -> CompressedTable {
+    if event_driven {
+        CompressedTable::solve_event_driven(secs(1.0), q, secs(max_u), p)
+    } else {
+        CompressedTable::solve(secs(1.0), q, secs(max_u), p)
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Round trip over randomized grids, representations, inner loops
-    /// and thread counts.
+    /// Round trip over randomized grids and both builds.
     #[test]
-    fn round_trip_is_bit_identical(
-        q in 2u32..12,
-        max_u in 1.0f64..80.0,
-        p in 0u32..4,
-        threads in 1usize..4,
-    ) {
-        for repr in reprs() {
-            for inner in [InnerLoop::FrontierSweep, InnerLoop::EventDriven] {
-                let table = solve(q, max_u, p, repr, inner, threads);
-                let back = from_bytes(&to_bytes(&table))
-                    .expect("clean snapshot must decode");
-                prop_assert_eq!(&table, &back,
-                    "round trip at q={}, repr={:?}, inner={:?}, threads={}",
-                    q, repr, inner, threads);
-            }
+    fn round_trip_is_bit_identical(q in 2u32..12, max_u in 1.0f64..80.0, p in 0u32..4) {
+        for event_driven in [false, true] {
+            let table = solve(q, max_u, p, event_driven);
+            let back = from_bytes(&to_bytes(&table)).expect("clean snapshot must decode");
+            prop_assert_eq!(&table, &back,
+                "round trip at q={}, event_driven={}", q, event_driven);
         }
     }
 
@@ -68,15 +39,13 @@ proptest! {
     /// panics the decoder.
     #[test]
     fn every_bit_flip_is_rejected(q in 2u32..10, max_u in 5.0f64..40.0, p in 1u32..3) {
-        for repr in reprs() {
-            let bytes = to_bytes(&solve(q, max_u, p, repr, InnerLoop::EventDriven, 1));
-            let stride = (bytes.len() / 97).max(1);
-            for pos in (0..bytes.len()).step_by(stride) {
-                let mut bad = bytes.clone();
-                bad[pos] ^= 1 << (pos % 8);
-                prop_assert!(from_bytes(&bad).is_err(),
-                    "flip at byte {} of {} went unnoticed ({:?})", pos, bytes.len(), repr);
-            }
+        let bytes = to_bytes(&solve(q, max_u, p, true));
+        let stride = (bytes.len() / 97).max(1);
+        for pos in (0..bytes.len()).step_by(stride) {
+            let mut bad = bytes.clone();
+            bad[pos] ^= 1 << (pos % 8);
+            prop_assert!(from_bytes(&bad).is_err(),
+                "flip at byte {} of {} went unnoticed", pos, bytes.len());
         }
     }
 
@@ -84,7 +53,7 @@ proptest! {
     /// short of complete.
     #[test]
     fn every_truncation_is_rejected(q in 2u32..10, max_u in 5.0f64..40.0, p in 1u32..3) {
-        let bytes = to_bytes(&solve(q, max_u, p, RowRepr::Runs, InnerLoop::EventDriven, 1));
+        let bytes = to_bytes(&solve(q, max_u, p, true));
         let stride = (bytes.len() / 61).max(1);
         for cut in (0..bytes.len()).step_by(stride).chain([bytes.len() - 1]) {
             prop_assert!(from_bytes(&bytes[..cut]).is_err(),
@@ -96,35 +65,30 @@ proptest! {
 #[test]
 fn degenerate_lifespans_round_trip() {
     // L = 0 (a single all-zero state per level), L = 1 tick (still
-    // inside every zero region), and a large-L run-compressed table.
-    for repr in reprs() {
-        for (q, max_u, p) in [(8u32, 0.0f64, 2u32), (8, 0.125, 2), (16, 4000.0, 3)] {
-            for inner in [InnerLoop::FrontierSweep, InnerLoop::EventDriven] {
-                let table = solve(q, max_u, p, repr, inner, 2);
-                let back = from_bytes(&to_bytes(&table)).unwrap();
-                assert_eq!(table, back, "q={q} max_u={max_u} p={p} {repr:?} {inner:?}");
-            }
+    // inside every zero region), and a large-L table.
+    for (q, max_u, p) in [(8u32, 0.0f64, 2u32), (8, 0.125, 2), (16, 4000.0, 3)] {
+        for event_driven in [false, true] {
+            let table = solve(q, max_u, p, event_driven);
+            let back = from_bytes(&to_bytes(&table)).unwrap();
+            assert_eq!(
+                table, back,
+                "q={q} max_u={max_u} p={p} event_driven={event_driven}"
+            );
         }
     }
 }
 
 #[test]
-fn thread_count_does_not_leak_into_the_snapshot() {
-    // The solve is bit-identical across thread counts, so snapshots
-    // must be byte-identical too — a warm start may be consumed by a
-    // machine with a different worker count.
-    for repr in reprs() {
-        let reference = to_bytes(&solve(8, 300.0, 3, repr, InnerLoop::EventDriven, 1));
-        for threads in [2, 8] {
-            let other = to_bytes(&solve(8, 300.0, 3, repr, InnerLoop::EventDriven, threads));
-            assert_eq!(reference, other, "threads={threads} {repr:?}");
-        }
-    }
+fn snapshots_are_deterministic() {
+    // Two solves of the same grid encode to the same bytes — a warm
+    // start may be consumed by any later process.
+    let reference = to_bytes(&solve(8, 300.0, 3, true));
+    assert_eq!(reference, to_bytes(&solve(8, 300.0, 3, true)));
 }
 
 #[test]
 fn wrong_version_is_rejected_with_the_version_error() {
-    let mut bytes = to_bytes(&solve(8, 50.0, 2, RowRepr::Runs, InnerLoop::EventDriven, 1));
+    let mut bytes = to_bytes(&solve(8, 50.0, 2, true));
     bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
     assert!(matches!(
         from_bytes(&bytes),
@@ -136,7 +100,7 @@ fn wrong_version_is_rejected_with_the_version_error() {
 fn file_round_trip_and_queries_survive() {
     let dir = std::env::temp_dir().join(format!("cyclesteal-props-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let table = solve(16, 2000.0, 3, RowRepr::Runs, InnerLoop::EventDriven, 1);
+    let table = solve(16, 2000.0, 3, true);
     let path = dir.join("t.cst");
     save(&table, &path).unwrap();
     let back = load(&path).unwrap();

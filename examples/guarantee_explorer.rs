@@ -17,15 +17,12 @@ fn main() {
 
     // One cached DP solve covers the whole sweep (largest U, largest p):
     // a row for L_max contains every smaller lifespan, so all cells below
-    // are plain lookups into the shared table. With a single pending
-    // solve, `solve_many`'s whole thread budget flows into the solve
-    // itself: workers sweep anchor-segmented l-ranges of each level
-    // (bit-identical to the sequential solve).
+    // are plain lookups into the shared table.
     let max_u = secs(*us.last().unwrap());
     let p_max = *ps.last().unwrap();
     let cache = TableCache::global();
     println!(
-        "[{} worker thread(s): solve fan-out + intra-level segmented sweeps]",
+        "[{} worker thread(s) for the policy evaluations and the sweep]",
         cyclesteal_par::default_threads()
     );
     let table = &cache.solve_many(&[SolveConfig {
@@ -34,10 +31,6 @@ fn main() {
         max_lifespan: max_u,
         max_interrupts: p_max,
     }])[0];
-    println!(
-        "[sweep queries below served by the {} row representation]",
-        table.repr_name()
-    );
     let adaptive = evaluate_policy(
         &AdaptiveGuideline::default(),
         c,
@@ -96,18 +89,13 @@ fn main() {
     }
 
     // ---- Large horizons: the compressed oracle ----------------------
-    // Beyond ~10⁶ ticks a dense arena (and a dense policy evaluation)
-    // stops being an option; the event-driven skeleton and the
-    // knot-compressed evaluator carry the same sweep to 10⁷ ticks and
-    // beyond in milliseconds and megabytes.
+    // Beyond ~10⁶ ticks a dense policy evaluation stops being an option;
+    // the same run-backed table and the knot-compressed evaluator carry
+    // the sweep to 10⁷ ticks and beyond in milliseconds and megabytes.
     let deep_ticks: i64 = 10_000_000;
     let q = 8u32;
     let deep_u = secs(deep_ticks as f64 / q as f64);
     let deep = cache.get_compressed(c, q, deep_u, 2);
-    println!(
-        "\n[deep queries below served by the {} row representation]",
-        deep.repr_name()
-    );
     let deep_ad = evaluate_policy_compressed(
         &AdaptiveGuideline::default(),
         c,
@@ -136,8 +124,7 @@ fn main() {
         }
     }
     println!(
-        "[deep table ({} rows): {} breakpoints compressed into {} stored descriptors over {} ticks, {} events to build, {} KiB]",
-        deep.repr_name(),
+        "[deep table: {} breakpoints compressed into {} stored descriptors over {} ticks, {} events to build, {} KiB]",
         (0..=2).map(|p| deep.breakpoints(p)).sum::<usize>(),
         (0..=2).map(|p| deep.stored_breakpoints(p)).sum::<usize>(),
         deep.max_ticks(),
@@ -147,9 +134,8 @@ fn main() {
 
     let stats = cache.stats();
     println!(
-        "\n[table cache: {} solve(s), {} dense + {} compressed cached table(s) served {} sweep cells]",
+        "\n[table cache: {} solve(s) and {} cached table(s) served {} sweep cells]",
         stats.misses,
-        stats.entries,
         stats.compressed_entries,
         cells.len()
     );

@@ -15,7 +15,7 @@ fn main() {
     let u = secs(1440.0); // an 8-hour donation, U/c = 1440
 
     println!("Donated laptop: U/c = 1440. What does each reserved interrupt cost?\n");
-    let table = ValueTable::solve(c, 16, u, 6, SolveOptions::default());
+    let table = CompressedTable::solve_event_driven(c, 16, u, 6);
     println!(
         "{:>3} {:>12} {:>14} {:>12}",
         "p", "W^(p) exact", "Thm 5.1 bound", "loss vs p−1"

@@ -51,7 +51,7 @@ fn main() {
     println!();
 
     // --- Exact numbers from the game solver ------------------------------
-    let table = ValueTable::solve(c, 16, u, 3, SolveOptions::default());
+    let table = CompressedTable::solve_event_driven(c, 16, u, 3);
     println!("Exact game values W^(p)[U] (DP at c/16 resolution):");
     for p in 0..=3u32 {
         println!("  p = {p}: {:.1}", table.value(p, u));

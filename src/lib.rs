@@ -17,7 +17,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`core`] | `cyclesteal-core` | model, schedules (§3.1, §3.2, §5.2, Thm 4.3), bounds, Table 1 |
-//! | [`dp`] | `cyclesteal-dp` | exact `W^(p)[L]` solvers (dense frontier-sweep, breakpoint-compressed, event-driven run-skipping), table cache, dense + compressed-oracle policy evaluators |
+//! | [`dp`] | `cyclesteal-dp` | exact `W^(p)[L]` tables (run-backed, event-driven build plus a tick-walking reference), table cache, dense + compressed-oracle policy evaluators |
 //! | [`adversary`] | `cyclesteal-adversary` | optimal/stochastic adversaries, game runner |
 //! | [`sim`] | `now-sim` | discrete-event NOW simulator |
 //! | [`workloads`] | `cyclesteal-workloads` | task bags + owner traces |
@@ -37,8 +37,7 @@
 //! let first = AdaptiveGuideline::default().episode(&opp).unwrap();
 //!
 //! // Against the worst-case owner it still banks most of the lifespan:
-//! let table = cyclesteal::dp::ValueTable::solve(
-//!     secs(1.0), 16, secs(240.0), 2, cyclesteal::dp::SolveOptions::default());
+//! let table = CompressedTable::solve_event_driven(secs(1.0), 16, secs(240.0), 2);
 //! let optimal = table.value(2, secs(240.0));
 //! assert!(optimal.get() > 200.0);
 //! assert!(first.is_fully_productive(opp.setup()));
@@ -65,8 +64,8 @@ pub mod prelude {
     pub use cyclesteal_core::prelude::*;
     pub use cyclesteal_dp::{
         evaluate_policy, evaluate_policy_compressed, CompressedEvalOptions,
-        CompressedOptimalPolicy, CompressedPolicyValue, CompressedTable, EvalOptions, InnerLoop,
-        OptimalPolicy, PolicyValue, RowRepr, SolveConfig, SolveOptions, TableCache, ValueTable,
+        CompressedOptimalPolicy, CompressedPolicyValue, CompressedTable, EvalOptions, PolicyValue,
+        SolveConfig, TableCache,
     };
     pub use cyclesteal_expected::{expected_work, ExpectedDp, InterruptLaw};
     pub use cyclesteal_workloads::{OwnerEvent, OwnerTrace, Task, TaskBag, TaskDist};

@@ -44,7 +44,7 @@ fn table2_period_length_row() {
 /// Proposition 4.1 at the level of the exact game value.
 #[test]
 fn proposition_41_on_the_exact_game() {
-    let table = ValueTable::solve(secs(C), 8, secs(200.0), 4, SolveOptions::default());
+    let table = CompressedTable::solve_event_driven(secs(C), 8, secs(200.0), 4);
     // (a) nondecreasing in U, (b) nonincreasing in p: checked densely.
     for p in 0..=4u32 {
         let mut prev = Work::ZERO;
@@ -121,7 +121,7 @@ fn theorem_42_tail_splitting() {
 /// is (weakly) the adversary's best choice within that period.
 #[test]
 fn observation_a_last_instant_dominates() {
-    let table = ValueTable::solve(secs(C), 16, secs(100.0), 2, SolveOptions::default());
+    let table = CompressedTable::solve_event_driven(secs(C), 16, secs(100.0), 2);
     let u = secs(100.0);
     let s = AdaptiveGuideline::default()
         .episode(&opp(100.0, 2))
@@ -145,14 +145,13 @@ fn observation_a_last_instant_dominates() {
 /// adversary interrupts.
 #[test]
 fn observation_b_always_interrupts() {
-    let table = Arc::new(ValueTable::solve(
+    let table = Arc::new(CompressedTable::solve_event_driven(
         secs(C),
         16,
         secs(150.0),
         3,
-        SolveOptions::default(),
     ));
-    let policy = OptimalPolicy::new(table.clone());
+    let policy = CompressedOptimalPolicy::new(table.clone());
     for p in 1..=3u32 {
         for &u in &[20.0, 80.0, 150.0] {
             let mut adv = OptimalAdversary::new(table.as_ref());
@@ -171,14 +170,13 @@ fn observation_b_always_interrupts() {
 /// `U − pc`.
 #[test]
 fn observation_c_interrupt_position() {
-    let table = Arc::new(ValueTable::solve(
+    let table = Arc::new(CompressedTable::solve_event_driven(
         secs(C),
         16,
         secs(120.0),
         2,
-        SolveOptions::default(),
     ));
-    let policy = OptimalPolicy::new(table.clone());
+    let policy = CompressedOptimalPolicy::new(table.clone());
     for &u in &[60.0, 120.0] {
         let mut adv = OptimalAdversary::new(table.as_ref());
         let log = run_game(&policy, &mut adv, &opp(u, 2)).unwrap();
@@ -233,7 +231,7 @@ fn section_31_nonadaptive_guarantee() {
 #[test]
 fn theorem_51_guarantee_at_scale() {
     let u = 4096.0;
-    let table = ValueTable::solve(secs(C), 8, secs(u), 4, SolveOptions::default());
+    let table = CompressedTable::solve_event_driven(secs(C), 8, secs(u), 4);
     let arith = evaluate_policy(
         &AdaptiveGuideline::default(),
         secs(C),
@@ -308,7 +306,7 @@ fn theorem_51_guarantee_at_scale() {
 /// exact `W^(p)`.
 #[test]
 fn table1_regeneration_consistency() {
-    let table = ValueTable::solve(secs(C), 32, secs(100.0), 2, SolveOptions::default());
+    let table = CompressedTable::solve_event_driven(secs(C), 32, secs(100.0), 2);
     for p in 1..=2u32 {
         let o = opp(100.0, p);
         let sched = table.episode(p, secs(100.0)).unwrap();
