@@ -9,6 +9,13 @@
 //! (so a cold solve never stalls the loop), and responses are queued
 //! into per-connection write buffers flushed as the peer drains them.
 //! Ten thousand idle connections therefore cost buffers, not threads.
+//! A pass that moves nothing waits: on the handlers' reply channel
+//! while requests are out with them, so a finished request wakes the
+//! loop at once, and in a plain sleep otherwise. The wait starts at
+//! 16 µs and doubles on each empty pass up to 1 ms, so inbound bytes
+//! are picked up quickly after recent traffic while an idle server
+//! wakes about a thousand times a second and never spins
+//! (`cyclesteal_loop_passes_total`, `cyclesteal_loop_idle_wait_us`).
 //! Each connection has at most one request in flight — responses stay
 //! in request order; pipelining depth is the client's choice. The
 //! *solves* all funnel through the broker's shared worker pool and
@@ -35,7 +42,9 @@
 //!   CRC-corrupt frames) and typed retryable errors, with capped
 //!   exponential backoff and seeded full jitter ([`RetryPolicy`]),
 //!   reconnecting when the stream may be out of sync. Deadlines ride
-//!   the wire as relative budgets ([`Client::query_batch_within`]).
+//!   the wire as relative budgets ([`Client::query_batch_within`]),
+//!   anchored when the loop parses the frame, so time queued for a
+//!   handler counts against them.
 //! * **Accept-loop survival.** Transient `accept()` failures (EMFILE,
 //!   ECONNABORTED) back off — doubling up to a cap — and keep
 //!   accepting; only [`Server::shutdown`] stops the listener.
@@ -45,12 +54,13 @@ use crate::errors::ServeError;
 use crate::faults::{self, FaultPoint};
 use crate::obs::ObsHub;
 use crate::wire;
-use cyclesteal_obs::SpanRecord;
+use cyclesteal_obs::{Counter, Histogram, Registry, SpanRecord};
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -90,12 +100,14 @@ pub struct Server {
 }
 
 /// One complete request frame, tagged with the connection it came from
-/// and the hub-clock reading at which the event loop parsed it — the
-/// start of the request's `server.recv` span (parse → handler pickup).
+/// and the moment the event loop parsed it: `recv_ns` (hub clock)
+/// starts the request's `server.recv` span (parse → handler pickup),
+/// and `parsed_at` anchors its wire deadline budget.
 struct Job {
     conn_id: u64,
     payload: Vec<u8>,
     recv_ns: u64,
+    parsed_at: Instant,
 }
 
 /// A handler's verdict on one request, routed back to the event loop.
@@ -149,8 +161,11 @@ impl Server {
         drop(reply_tx);
 
         let hub = broker.obs().clone();
+        let metrics = LoopMetrics::new(hub.registry());
         let driver = std::thread::spawn(move || {
-            event_loop(&listener, &stop_flag, &job_tx, &reply_rx, config, &hub)
+            event_loop(
+                &listener, &stop_flag, &job_tx, &reply_rx, config, &hub, &metrics,
+            )
         });
         Ok(Server {
             local_addr,
@@ -213,10 +228,80 @@ struct TrackedConn {
 /// of growing the accumulator unboundedly.
 const MAX_CONN_BUFFER: usize = wire::MAX_FRAME_BYTES as usize + 8;
 
+/// First rung of the idle-wait ladder: the wait after a pass that made
+/// progress. A closed-loop client's next request usually lands within
+/// a few rungs of it.
+const IDLE_WAIT_FLOOR: Duration = Duration::from_micros(16);
+
+/// Top rung of the idle-wait ladder: an idle server wakes this often,
+/// which bounds both its CPU use and the pickup delay of the first
+/// bytes after a quiet spell.
+const IDLE_WAIT_CAP: Duration = Duration::from_millis(1);
+
+/// The readiness loop's idle-wait ladder: how long a pass that moved
+/// nothing waits before polling the sockets again.
+#[derive(Debug)]
+struct IdleBackoff {
+    wait: Duration,
+}
+
+impl IdleBackoff {
+    fn new() -> IdleBackoff {
+        IdleBackoff {
+            wait: IDLE_WAIT_FLOOR,
+        }
+    }
+
+    /// The wait after a pass. A pass that made progress waits not at
+    /// all and drops the ladder to its floor; an empty pass waits the
+    /// current rung, and the next empty pass waits twice as long, up to
+    /// [`IDLE_WAIT_CAP`]. A wait cut short by a reply needs no special
+    /// case: the pass that handles the reply made progress.
+    fn next(&mut self, progressed: bool) -> Duration {
+        if progressed {
+            self.wait = IDLE_WAIT_FLOOR;
+            return Duration::ZERO;
+        }
+        let wait = self.wait;
+        self.wait = (wait * 2).min(IDLE_WAIT_CAP);
+        wait
+    }
+}
+
+/// The readiness loop's registry handles, taken once before it starts.
+struct LoopMetrics {
+    /// Passes that accepted, read, parsed, wrote or handled a reply.
+    progress: Counter,
+    /// Empty passes whose idle wait a handler's reply cut short.
+    woken: Counter,
+    /// Empty passes whose idle wait ran its full rung.
+    timeout: Counter,
+    /// Time spent in each idle wait, µs: one sample per `woken` or
+    /// `timeout` pass.
+    idle_wait_us: Histogram,
+}
+
+impl LoopMetrics {
+    fn new(registry: &Registry) -> LoopMetrics {
+        let passes = |outcome: &str| {
+            registry.counter_with("cyclesteal_loop_passes_total", &[("outcome", outcome)])
+        };
+        LoopMetrics {
+            progress: passes("progress"),
+            woken: passes("woken"),
+            timeout: passes("timeout"),
+            idle_wait_us: registry.histogram("cyclesteal_loop_idle_wait_us"),
+        }
+    }
+}
+
 /// The readiness loop: accept, drain handler replies, then give every
 /// connection a read / parse / write / timeout pass. Runs until the
-/// stop flag; each pass that moves no bytes sleeps 1 ms, so an idle
-/// server polls cheaply and a busy one spins at line rate.
+/// stop flag. A pass that moves nothing waits out the [`IdleBackoff`]
+/// rung, blocked on the reply channel whenever a dispatched job has
+/// not replied yet: that reply ends the wait at once and is the first
+/// one the next pass handles. Inbound bytes and new connections are
+/// found by the next poll, at most one rung later.
 fn event_loop(
     listener: &TcpListener,
     stop: &AtomicBool,
@@ -224,6 +309,7 @@ fn event_loop(
     replies: &mpsc::Receiver<(u64, Reply)>,
     config: ServerConfig,
     obs: &ObsHub,
+    metrics: &LoopMetrics,
 ) {
     // accept() can fail transiently under load (ECONNABORTED on a reset
     // handshake, EMFILE on fd exhaustion). Dropping the listener over
@@ -236,6 +322,11 @@ fn event_loop(
     let mut conns: HashMap<u64, TrackedConn> = HashMap::new();
     let mut next_id: u64 = 0;
     let mut scratch = [0u8; 16 * 1024];
+    let mut idle = IdleBackoff::new();
+    // The reply that ended the last idle wait, if one did.
+    let mut woken_by: Option<(u64, Reply)> = None;
+    // Jobs dispatched whose replies have not come back yet.
+    let mut awaiting: usize = 0;
 
     while !stop.load(Ordering::Relaxed) {
         let now = Instant::now();
@@ -277,8 +368,13 @@ fn event_loop(
             }
         }
 
-        while let Ok((id, reply)) = replies.try_recv() {
+        let pending = woken_by
+            .take()
+            .into_iter()
+            .chain(std::iter::from_fn(|| replies.try_recv().ok()));
+        for (id, reply) in pending {
             progressed = true;
+            awaiting = awaiting.saturating_sub(1);
             if let Some(conn) = conns.get_mut(&id) {
                 conn.inflight = false;
                 // A served response counts as activity: a long solve
@@ -331,15 +427,15 @@ fn event_loop(
                         conn.rbuf.drain(..consumed);
                         conn.inflight = true;
                         progressed = true;
-                        if jobs
-                            .send(Job {
-                                conn_id: id,
-                                payload,
-                                recv_ns: obs.now_ns(),
-                            })
-                            .is_err()
-                        {
-                            conn.gone = true;
+                        let job = Job {
+                            conn_id: id,
+                            payload,
+                            recv_ns: obs.now_ns(),
+                            parsed_at: Instant::now(),
+                        };
+                        match jobs.send(job) {
+                            Ok(()) => awaiting += 1,
+                            Err(_) => conn.gone = true,
                         }
                     }
                     Ok(None) => {}
@@ -391,9 +487,33 @@ fn event_loop(
         }
         conns.retain(|_, conn| !conn.gone);
 
-        if !progressed {
-            std::thread::sleep(Duration::from_millis(1));
+        let wait = idle.next(progressed);
+        if progressed {
+            metrics.progress.inc();
+            continue;
         }
+        let waited_from = Instant::now();
+        woken_by = match (awaiting > 0).then(|| replies.recv_timeout(wait)) {
+            Some(Ok(reply)) => Some(reply),
+            Some(Err(RecvTimeoutError::Timeout)) => None,
+            // With no job out no reply can arrive, and a plain sleep
+            // costs an idle server less CPU per wake than a timed
+            // channel wait. A closed channel (handlers exit only after
+            // this loop drops `jobs`, so the pool died) returns at
+            // once: sleep out the rung rather than spin on it.
+            None | Some(Err(RecvTimeoutError::Disconnected)) => {
+                std::thread::sleep(wait);
+                None
+            }
+        };
+        if woken_by.is_some() {
+            metrics.woken.inc();
+        } else {
+            metrics.timeout.inc();
+        }
+        metrics
+            .idle_wait_us
+            .record(u64::try_from(waited_from.elapsed().as_micros()).unwrap_or(u64::MAX));
     }
 }
 
@@ -417,7 +537,7 @@ fn handler_loop(
         if let Some(delay) = faults::read_delay() {
             std::thread::sleep(delay);
         }
-        let response = handle_request(&job.payload, broker, job.recv_ns);
+        let response = handle_request(&job, broker);
         let reply = if faults::should(FaultPoint::DropConnection) {
             Reply::Close
         } else if faults::should(FaultPoint::CorruptFrame) {
@@ -436,9 +556,21 @@ fn handler_loop(
     }
 }
 
-fn handle_request(payload: &[u8], broker: &Broker, recv_ns: u64) -> Vec<u8> {
+/// The wire's relative deadline budget as an absolute deadline,
+/// counted from when the loop parsed the frame: time spent queued for
+/// a handler (or stalled by an injected read delay) is spent budget.
+/// `checked_add`, so an absurd (hostile) budget degrades to "none"
+/// instead of panicking on `Instant` overflow.
+fn deadline_from(parsed_at: Instant, deadline_us: u64) -> Option<Instant> {
+    match deadline_us {
+        wire::NO_DEADLINE_US => None,
+        us => parsed_at.checked_add(Duration::from_micros(us)),
+    }
+}
+
+fn handle_request(job: &Job, broker: &Broker) -> Vec<u8> {
     let obs = broker.obs();
-    match payload.split_first() {
+    match job.payload.split_first() {
         Some((&wire::OP_QUERY_BATCH, body)) => {
             match wire::decode_query_batch_traced(&mut { body }) {
                 Ok((queries, deadline_us, wire_trace)) => {
@@ -450,15 +582,8 @@ fn handle_request(payload: &[u8], broker: &Broker, recv_ns: u64) -> Vec<u8> {
                     } else {
                         obs.assign_trace_id()
                     };
-                    obs.span(trace_id, "server.recv", recv_ns);
-                    // The wire deadline is a relative budget; convert to
-                    // an absolute Instant at the moment of decode.
-                    // checked_add so an absurd (hostile) budget degrades
-                    // to "none" instead of panicking on Instant overflow.
-                    let deadline = match deadline_us {
-                        wire::NO_DEADLINE_US => None,
-                        us => Instant::now().checked_add(Duration::from_micros(us)),
-                    };
+                    obs.span(trace_id, "server.recv", job.recv_ns);
+                    let deadline = deadline_from(job.parsed_at, deadline_us);
                     let t_dispatch = obs.start_ns(trace_id);
                     let outcome = broker.query_batch_traced("tcp", &queries, deadline, trace_id);
                     obs.span(trace_id, "server.dispatch", t_dispatch);
@@ -483,11 +608,8 @@ fn handle_request(payload: &[u8], broker: &Broker, recv_ns: u64) -> Vec<u8> {
                 } else {
                     obs.assign_trace_id()
                 };
-                obs.span(trace_id, "server.recv", recv_ns);
-                let deadline = match deadline_us {
-                    wire::NO_DEADLINE_US => None,
-                    us => Instant::now().checked_add(Duration::from_micros(us)),
-                };
+                obs.span(trace_id, "server.recv", job.recv_ns);
+                let deadline = deadline_from(job.parsed_at, deadline_us);
                 let t_dispatch = obs.start_ns(trace_id);
                 let outcome = broker.query_sweep_traced("tcp", &sweep, deadline, trace_id);
                 obs.span(trace_id, "server.dispatch", t_dispatch);
@@ -1013,6 +1135,61 @@ mod tests {
         assert_eq!(typed.code, ErrorCode::DeadlineExceeded);
         assert!(typed.retryable);
         assert!(broker.stats().resilience.deadline_rejects >= 1);
+        server.shutdown();
+    }
+
+    /// The idle ladder: 16 µs doubling up to the 1 ms cap.
+    const LADDER_US: [u64; 7] = [16, 32, 64, 128, 256, 512, 1000];
+
+    #[test]
+    fn idle_backoff_resets_on_progress_doubles_on_timeout_and_holds_at_the_cap() {
+        let mut idle = IdleBackoff::new();
+        for round in 0..3 {
+            let waits: Vec<u64> = (0..LADDER_US.len() + 3)
+                .map(|_| idle.next(false).as_micros() as u64)
+                .collect();
+            assert_eq!(&waits[..LADDER_US.len()], LADDER_US, "round {round}");
+            assert!(
+                waits[LADDER_US.len()..].iter().all(|&w| w == 1000),
+                "holds at the cap: {waits:?}"
+            );
+            // Progress runs the next pass at once and resets the ladder.
+            assert_eq!(idle.next(true), Duration::ZERO);
+        }
+        // A burst of progress still restarts from the floor.
+        idle.next(false);
+        idle.next(true);
+        idle.next(true);
+        assert_eq!(idle.next(false), IDLE_WAIT_FLOOR);
+    }
+
+    /// An idle server must wait, not spin: over an idle window, the
+    /// timed-out passes are bounded by the window over the 1 ms cap plus
+    /// the ladder's short rungs. One-sided — a slow runner only lowers
+    /// the count.
+    #[test]
+    fn an_idle_loop_waits_instead_of_spinning() {
+        let broker = Arc::new(Broker::new(BrokerConfig::default()).unwrap());
+        let server = Server::start("127.0.0.1:0", broker.clone()).unwrap();
+        let registry = broker.obs().registry();
+        let passes = |outcome: &str| {
+            registry
+                .lookup_counter("cyclesteal_loop_passes_total", &[("outcome", outcome)])
+                .expect("registered before the loop starts")
+                .get()
+        };
+        let started = Instant::now();
+        let before = passes("timeout");
+        std::thread::sleep(Duration::from_millis(200));
+        let after = passes("timeout");
+        let window_ms = started.elapsed().as_millis() as u64;
+        let bound = window_ms + LADDER_US.len() as u64 + 5;
+        assert!(
+            after - before <= bound,
+            "{} timed-out passes in {window_ms} ms (bound {bound})",
+            after - before
+        );
+        assert_eq!(passes("woken"), 0, "no traffic, no replies");
         server.shutdown();
     }
 

@@ -1,6 +1,6 @@
 //! Observability acceptance tests.
 //!
-//! Three contracts from the obs PR:
+//! Four contracts:
 //!
 //! 1. **Trace propagation** — a client-chosen trace id rides the op-1/
 //!    op-3 wire frames and stamps a span at *every* pipeline stage the
@@ -16,6 +16,9 @@
 //! 3. **Profiling neutrality** — enabling solver phase profiling (and
 //!    tracing) changes observability output only; answers stay
 //!    bit-identical to an uninstrumented broker.
+//! 4. **Loop accounting** — every idle wait of the readiness loop ends
+//!    `woken` or `timeout` and records one idle-wait sample, so the two
+//!    pass counters sum to the histogram's count.
 
 use cyclesteal_core::time::secs;
 use cyclesteal_obs::{parse_exposition, LogicalClock, Sample};
@@ -210,6 +213,61 @@ fn op4_pull_reconciles_exactly_with_broker_stats() {
         tcp.queries
     );
     server.shutdown();
+}
+
+#[test]
+fn loop_idle_waits_reconcile_with_their_histogram() {
+    const ROUND_TRIPS: u64 = 32;
+    let broker = Arc::new(Broker::new(BrokerConfig::default()).unwrap());
+    let server = Server::start("127.0.0.1:0", broker.clone()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for k in 0..ROUND_TRIPS {
+        client
+            .query_batch(&[query(1 + (k % 3) as u32, 20.0 + k as f64)])
+            .unwrap();
+    }
+    // With no traffic left the loop must time out an idle wait; wait
+    // for one, then stop it. Once shutdown has joined the loop thread
+    // the series are quiescent, so the reads below cannot race a pass.
+    let timeouts = broker
+        .obs()
+        .registry()
+        .lookup_counter("cyclesteal_loop_passes_total", &[("outcome", "timeout")])
+        .expect("registered when the server starts");
+    let give_up = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while timeouts.get() == 0 {
+        assert!(std::time::Instant::now() < give_up, "the loop never idled");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    server.shutdown();
+
+    let samples = parse_exposition(&broker.metrics_text());
+    let passes = |outcome: &str| {
+        sample_value(
+            &samples,
+            "cyclesteal_loop_passes_total",
+            ("outcome", outcome),
+        )
+    };
+    let waits = samples
+        .iter()
+        .find(|s| s.name == "cyclesteal_loop_idle_wait_us_count")
+        .expect("idle-wait histogram exported")
+        .value;
+    assert_eq!(
+        passes("woken") + passes("timeout"),
+        waits,
+        "every idle wait ends woken or timed out, and records one sample"
+    );
+    assert!(waits >= 1, "the idle spell before shutdown waited");
+    // Each round trip takes at least two passes that make progress: the
+    // one that parses the request and a later one that handles its
+    // reply (replies are drained at the top of a pass, after the parse).
+    assert!(
+        passes("progress") >= 2 * ROUND_TRIPS,
+        "{} progress passes for {ROUND_TRIPS} round trips",
+        passes("progress")
+    );
 }
 
 #[test]

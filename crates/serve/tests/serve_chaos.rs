@@ -617,6 +617,39 @@ fn wire_deadlines_reject_early_then_converge_from_cache() {
     server.shutdown();
 }
 
+/// A wire budget starts when the server parses the frame, not when a
+/// handler gets round to decoding it: a 50 ms injected read delay spends
+/// a 10 ms budget before the broker ever sees the batch, so the answer
+/// is the typed `DeadlineExceeded`. Without a budget the same delayed
+/// query is answered exactly.
+#[test]
+fn wire_deadlines_count_time_spent_before_the_handler() {
+    let _serial = chaos_lock();
+    let broker = Arc::new(Broker::new(BrokerConfig::default()).unwrap());
+    let server = chaos_server(broker.clone());
+    let mut client = chaos_client(server.local_addr(), 0, 0);
+    let guard = FaultPlan {
+        delay_read_pm: 1000,
+        read_delay: Duration::from_millis(50),
+        ..FaultPlan::quiet(19)
+    }
+    .install();
+
+    let query = q(1.0, 8, 2, 45.0);
+    let err = client
+        .query_batch_within(&[query], Some(Duration::from_millis(10)))
+        .unwrap_err();
+    let se = ServeError::from_io(&err).expect("typed deadline frame");
+    assert_eq!(se.code, ErrorCode::DeadlineExceeded);
+    assert!(se.retryable);
+    assert_eq!(broker.stats().cache.misses, 0, "rejected before any solve");
+
+    let got = client.query_batch(&[query]).expect("no budget, no reject");
+    assert_bit_identical(&got[0], &reference_answers(&[query])[0], "delayed");
+    drop(guard);
+    server.shutdown();
+}
+
 /// Failing snapshot writes: answers stay exact, the failure is counted
 /// (never propagated), and once the plan clears snapshots land on disk.
 #[test]
