@@ -306,9 +306,9 @@ fn acceptance_report(c: &mut Criterion) {
     };
 
     // The same warmed workload at 64 concurrent client threads: the
-    // concurrency acceptance point for the readiness-loop serving
-    // stack. Gated higher-is-better in bench_diff; the issue's bar is
-    // staying within 2× of the 4-client number with a flat p99.
+    // concurrency acceptance point for the serving stack. Gated
+    // higher-is-better in bench_diff; the acceptance bar is staying
+    // within 2× of the 4-client number with a flat p99.
     let (serve_qps_64c, serve_p99_64c_us) = {
         use cyclesteal_serve::{Broker, BrokerConfig, GuaranteeQuery};
         let broker = std::sync::Arc::new(Broker::new(BrokerConfig::default()).unwrap());

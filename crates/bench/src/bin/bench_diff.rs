@@ -69,7 +69,7 @@ const GATED_KEYS_LOWER: [&str; 6] = [
 /// Keys gated on regression where **higher is better**: a drop beyond
 /// the threshold fails, a rise is an improvement. `serve_qps` is the
 /// broker's batched query throughput and `serve_qps_64c` the same
-/// workload at 64 concurrent client threads — the readiness-loop
+/// workload at 64 concurrent client threads — the serving stack's
 /// concurrency acceptance point (its companion `serve_p99_64c_us` is
 /// an informational stamp; the gated tail latency is `serve_p99_us`);
 /// `sim_episodes_per_s` is the struct-of-arrays batch simulator's

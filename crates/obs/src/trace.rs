@@ -2,8 +2,8 @@
 //!
 //! A request carries a `trace_id` (a nonzero `u64`, generated at the
 //! client and propagated on the wire; `0` means "untraced"). Each
-//! pipeline stage the request crosses — readiness loop, dispatch
-//! queue, broker admission, fairness lane, flight, solve — records one
+//! pipeline stage the request crosses — server receive, broker call,
+//! broker admission, fairness lane, flight, solve — records one
 //! [`SpanRecord`] into a shared [`SpanJournal`], a bounded ring buffer
 //! that keeps the most recent spans and can be dumped as JSON lines or
 //! snapshotted for the op-4 introspection response.

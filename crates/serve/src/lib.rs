@@ -93,13 +93,15 @@
 //!
 //! ## Over TCP
 //!
-//! [`Server::start`] binds a listener driven by a **readiness loop**:
-//! one event-loop thread polls every nonblocking connection, and
-//! complete frames are handled by a small pool of handler threads
-//! (solves still share the broker's worker pool), so idle connections
-//! cost buffers rather than threads. [`Client`] frames batches to it
-//! and transparently retries transient failures. Sweep-shaped reads use
-//! the op-3 **streaming wire mode** ([`Broker::query_sweep`] /
+//! [`Server::start`] binds a listener with **one blocking thread per
+//! connection**: an acceptor thread hands each connection a thread that
+//! reads a frame, runs it against the broker inline and writes the
+//! answer (solves still share the broker's worker pool). The kernel
+//! wakes a connection's thread when its bytes land, so a request is
+//! never waiting on a poll and an idle server never wakes; each open
+//! connection costs a parked thread instead. [`Client`] frames batches
+//! to it and transparently retries transient failures. Sweep-shaped
+//! reads use the op-3 **streaming wire mode** ([`Broker::query_sweep`] /
 //! [`Client::query_sweep`]): a consecutive tick window travels back as
 //! arithmetic-run descriptors ([`cyclesteal_dp::ValueRun`]) and is
 //! expanded client-side, bit-identically to per-tick op-1 answers. See

@@ -170,6 +170,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
+/// Initial payload buffer of [`read_frame`]: frames up to this size
+/// read into one allocation; larger ones grow as their bytes arrive.
+const READ_CHUNK: usize = 64 * 1024;
+
 /// Reads one frame's payload, verifying its CRC. `Ok(None)` is a clean
 /// EOF *between* frames (the peer hung up); EOF mid-frame is an error,
 /// and a CRC mismatch is the [`CorruptFrame`] marker error.
@@ -198,16 +202,26 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     if len > MAX_FRAME_BYTES {
         return Err(io::Error::new(io::ErrorKind::InvalidData, CorruptFrame));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    // Grow the payload with the bytes that actually arrive: a header
+    // is only a claim, and a peer that claims 64 MiB and sends 100
+    // bytes must not cost 64 MiB.
+    let want = len as usize;
+    let mut payload = Vec::with_capacity(want.min(READ_CHUNK));
+    r.by_ref().take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() != want {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "frame truncated mid-payload",
+        ));
+    }
     if crc32(&payload) != stored_crc {
         return Err(io::Error::new(io::ErrorKind::InvalidData, CorruptFrame));
     }
     Ok(Some(payload))
 }
 
-/// Parses one frame out of an in-memory buffer — the readiness loop's
-/// per-connection accumulator. `Ok(None)` means *incomplete, keep
+/// Parses one frame out of an in-memory buffer — a connection
+/// thread's inbound accumulator. `Ok(None)` means *incomplete, keep
 /// reading*; a parsed frame returns its payload plus the bytes
 /// consumed; an impossible length or a CRC mismatch is the
 /// [`CorruptFrame`] marker, exactly as [`read_frame`] classifies them.
@@ -772,6 +786,45 @@ mod tests {
         // Classified as wire corruption: an honest peer never sends an
         // impossible length, so it reads as a damaged length byte.
         assert!(is_corrupt_frame(&read_frame(&mut &buf[..]).unwrap_err()));
+    }
+
+    /// A reader that serves a fixed byte string and records the
+    /// largest buffer it is ever offered.
+    struct RecordingReader {
+        bytes: Vec<u8>,
+        pos: usize,
+        largest_buffer: usize,
+    }
+
+    impl Read for RecordingReader {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest_buffer = self.largest_buffer.max(buf.len());
+            let n = buf.len().min(self.bytes.len() - self.pos);
+            buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_header_claiming_the_cap_allocates_only_what_arrives() {
+        // The header claims a maximal frame; 100 payload bytes follow,
+        // then EOF.
+        let mut bytes = MAX_FRAME_BYTES.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(&[7u8; 100]);
+        let mut r = RecordingReader {
+            bytes,
+            pos: 0,
+            largest_buffer: 0,
+        };
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(
+            r.largest_buffer <= 64 * 1024,
+            "offered a {}-byte buffer for 100 bytes",
+            r.largest_buffer
+        );
     }
 
     #[test]

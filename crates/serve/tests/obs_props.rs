@@ -16,9 +16,10 @@
 //! 3. **Profiling neutrality** — enabling solver phase profiling (and
 //!    tracing) changes observability output only; answers stay
 //!    bit-identical to an uninstrumented broker.
-//! 4. **Loop accounting** — every idle wait of the readiness loop ends
-//!    `woken` or `timeout` and records one idle-wait sample, so the two
-//!    pass counters sum to the histogram's count.
+//! 4. **Connection accounting** — every accepted TCP connection is
+//!    counted open until its thread closes it under exactly one
+//!    `reason`, so accepted − Σ closed equals the open-connection
+//!    gauge.
 
 use cyclesteal_core::time::secs;
 use cyclesteal_obs::{parse_exposition, LogicalClock, Sample};
@@ -216,58 +217,62 @@ fn op4_pull_reconciles_exactly_with_broker_stats() {
 }
 
 #[test]
-fn loop_idle_waits_reconcile_with_their_histogram() {
-    const ROUND_TRIPS: u64 = 32;
+fn connection_counters_reconcile_after_connections_open_serve_and_close() {
+    const CONNECTIONS: u64 = 12;
     let broker = Arc::new(Broker::new(BrokerConfig::default()).unwrap());
     let server = Server::start("127.0.0.1:0", broker.clone()).unwrap();
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    for k in 0..ROUND_TRIPS {
+    let registry = broker.obs().registry();
+    let accepted = registry
+        .lookup_counter("cyclesteal_server_connections_accepted_total", &[])
+        .expect("registered before the acceptor starts");
+    let open = registry
+        .lookup_gauge("cyclesteal_server_connections", &[])
+        .expect("registered before the acceptor starts");
+    let eof = registry
+        .lookup_counter(
+            "cyclesteal_server_connections_closed_total",
+            &[("reason", "eof")],
+        )
+        .expect("registered before the acceptor starts");
+
+    // Open all K at once, serve a request on each, then hang up.
+    let mut clients: Vec<Client> = (0..CONNECTIONS)
+        .map(|_| Client::connect(server.local_addr()).unwrap())
+        .collect();
+    for (k, client) in clients.iter_mut().enumerate() {
         client
             .query_batch(&[query(1 + (k % 3) as u32, 20.0 + k as f64)])
             .unwrap();
     }
-    // With no traffic left the loop must time out an idle wait; wait
-    // for one, then stop it. Once shutdown has joined the loop thread
-    // the series are quiescent, so the reads below cannot race a pass.
-    let timeouts = broker
-        .obs()
-        .registry()
-        .lookup_counter("cyclesteal_loop_passes_total", &[("outcome", "timeout")])
-        .expect("registered when the server starts");
-    let give_up = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while timeouts.get() == 0 {
-        assert!(std::time::Instant::now() < give_up, "the loop never idled");
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-    server.shutdown();
+    assert_eq!(accepted.get(), CONNECTIONS);
+    assert_eq!(open.get(), CONNECTIONS, "all K are open and served");
+    drop(clients);
 
+    // Each hang-up is a clean EOF; wait for the threads to count them.
+    let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while eof.get() < CONNECTIONS {
+        assert!(
+            std::time::Instant::now() < give_up,
+            "{} of {CONNECTIONS} closes counted",
+            eof.get()
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
     let samples = parse_exposition(&broker.metrics_text());
-    let passes = |outcome: &str| {
-        sample_value(
-            &samples,
-            "cyclesteal_loop_passes_total",
-            ("outcome", outcome),
-        )
-    };
-    let waits = samples
+    let closed = sample_sum(&samples, "cyclesteal_server_connections_closed_total");
+    let gauge = samples
         .iter()
-        .find(|s| s.name == "cyclesteal_loop_idle_wait_us_count")
-        .expect("idle-wait histogram exported")
+        .find(|s| s.name == "cyclesteal_server_connections")
+        .expect("connection gauge exported")
         .value;
+    assert_eq!(closed, CONNECTIONS, "every close is counted once");
     assert_eq!(
-        passes("woken") + passes("timeout"),
-        waits,
-        "every idle wait ends woken or timed out, and records one sample"
+        sample_sum(&samples, "cyclesteal_server_connections_accepted_total") - closed,
+        gauge,
+        "accepted − closed = open"
     );
-    assert!(waits >= 1, "the idle spell before shutdown waited");
-    // Each round trip takes at least two passes that make progress: the
-    // one that parses the request and a later one that handles its
-    // reply (replies are drained at the top of a pass, after the parse).
-    assert!(
-        passes("progress") >= 2 * ROUND_TRIPS,
-        "{} progress passes for {ROUND_TRIPS} round trips",
-        passes("progress")
-    );
+    assert_eq!(gauge, 0);
+    server.shutdown();
 }
 
 #[test]

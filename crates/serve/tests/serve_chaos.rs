@@ -175,7 +175,6 @@ fn chaos_server(broker: Arc<Broker>) -> Server {
         ServerConfig {
             read_timeout: Some(Duration::from_secs(2)),
             write_timeout: Some(Duration::from_secs(2)),
-            ..ServerConfig::default()
         },
     )
     .expect("bind ephemeral")
@@ -253,9 +252,10 @@ fn every_query_answers_bit_identically_or_fails_retryably_across_64_plans() {
     );
 }
 
-/// The readiness-loop server at 64 **concurrent** clients under seeded
-/// fault plans, mixing op-1 batches with op-3 streaming sweeps: every
-/// query returns the bit-identical answer or an acceptable
+/// The server at 64 **concurrent** clients — 64 connection threads,
+/// so an injected read delay stalls its own request, never the fleet —
+/// under seeded fault plans, mixing op-1 batches with op-3 streaming
+/// sweeps: every query returns the bit-identical answer or an acceptable
 /// typed/transient failure — no hangs, no escaped panics — and once
 /// the plan clears, a fresh client converges to exact answers.
 #[test]
@@ -283,9 +283,6 @@ fn sixty_four_concurrent_clients_survive_fault_plans_on_the_readiness_loop() {
             ServerConfig {
                 read_timeout: Some(Duration::from_secs(2)),
                 write_timeout: Some(Duration::from_secs(2)),
-                // Enough handler contexts that injected read delays
-                // stall requests, not the whole fleet.
-                handlers: 16,
             },
         )
         .expect("bind ephemeral");
