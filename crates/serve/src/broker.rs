@@ -1,7 +1,12 @@
 //! The batched guarantee-query broker (see the crate docs for the
-//! serving model). All solve work funnels through one
-//! [`TableCache`] and one [`WorkerPool`]; request threads only group,
-//! look up and format.
+//! serving model). All solve work funnels through one [`TableCache`].
+//! The calling (connection) thread groups a batch by grid and looks
+//! every group up in the cache itself; only the cold groups go on to
+//! the solve path. One cold group solves inline, and the
+//! [`WorkerPool`] is reached only by a batch with two or more cold
+//! groups, whose solves it runs side by side. Every job handed to the
+//! pool is counted in `cyclesteal_pool_handoffs_total`, so a warm batch
+//! provably adds 0 to it.
 //!
 //! ## Failure semantics
 //!
@@ -50,7 +55,7 @@ use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, RwLock};
 use std::time::Instant;
 
 /// One guarantee query: "how much work is guaranteed at
@@ -105,6 +110,14 @@ pub const DEFAULT_MAX_INFLIGHT: usize = 1024;
 /// is zero: how many cold solves one grid may have in flight (leading
 /// or queued for a lane) before further ones shed with `Overloaded`.
 pub const DEFAULT_TENANT_QUOTA: usize = 4;
+
+/// Most tenant grids that get a `cyclesteal_tenant_queries_total`
+/// series of their own. Grids first seen after the cap is reached are
+/// counted under `tenant="other"`, so a client sending ever-new
+/// `(setup, Q)` pairs cannot grow the registry or the op-4 text without
+/// limit. Comfortably above the grids a deployment is expected to serve
+/// (perfbench's whole corpus is 192).
+pub const MAX_TENANT_SERIES: usize = 256;
 
 /// Broker construction options.
 #[derive(Clone, Debug, Default)]
@@ -500,6 +513,65 @@ impl Endpoint {
     }
 }
 
+/// Per-tenant traffic counters (`cyclesteal_tenant_queries_total`),
+/// one registry handle per tenant grid, looked up once. A known
+/// tenant's count is a shared read lock, a hash probe and an atomic add:
+/// no `format!`, no allocation and no registry mutex. At most
+/// [`MAX_TENANT_SERIES`] tenants get a series of their own; the queries
+/// of every later grid land in `tenant="other"`, and each group folded
+/// there bumps `cyclesteal_tenant_series_folded_total`.
+struct TenantCounters {
+    named: RwLock<HashMap<TenantKey, Counter>>,
+    other: Counter,
+    folded: Counter,
+}
+
+impl TenantCounters {
+    fn new(registry: &Registry) -> TenantCounters {
+        TenantCounters {
+            named: RwLock::new(HashMap::new()),
+            other: registry.counter_with("cyclesteal_tenant_queries_total", &[("tenant", "other")]),
+            folded: registry.counter("cyclesteal_tenant_series_folded_total"),
+        }
+    }
+
+    /// Counts `n` queries against tenant grid `key`. The label is
+    /// human-readable (`"<setup>x<Q>"`); it is formatted once, when
+    /// the tenant's series is created.
+    fn record(&self, registry: &Registry, key: TenantKey, n: u64) {
+        {
+            let named = self.named.read().unwrap_or_else(|e| e.into_inner());
+            if let Some(counter) = named.get(&key) {
+                counter.add(n);
+                return;
+            }
+            // The map only grows, so a full map stays full: fold
+            // without taking the write lock.
+            if named.len() >= MAX_TENANT_SERIES {
+                self.fold(n);
+                return;
+            }
+        }
+        let mut named = self.named.write().unwrap_or_else(|e| e.into_inner());
+        if let Some(counter) = named.get(&key) {
+            counter.add(n);
+        } else if named.len() >= MAX_TENANT_SERIES {
+            self.fold(n);
+        } else {
+            let tenant = format!("{}x{}", f64::from_bits(key.0), key.1);
+            let counter =
+                registry.counter_with("cyclesteal_tenant_queries_total", &[("tenant", &tenant)]);
+            counter.add(n);
+            named.insert(key, counter);
+        }
+    }
+
+    fn fold(&self, n: u64) {
+        self.other.add(n);
+        self.folded.inc();
+    }
+}
+
 /// A point-in-time view of one endpoint's counters.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EndpointStats {
@@ -538,9 +610,14 @@ pub struct BrokerStats {
 pub struct Broker {
     shared: Arc<Shared>,
     pool: WorkerPool,
+    /// `cyclesteal_pool_handoffs_total`: jobs handed to `pool`.
+    handoffs: Counter,
     snapshot_dir: Option<PathBuf>,
     admission: Admission,
-    endpoints: parking_lot::Mutex<HashMap<&'static str, Arc<Endpoint>>>,
+    /// Endpoint handles by label, read-mostly: a batch of a known
+    /// endpoint takes only the shared read lock.
+    endpoints: RwLock<HashMap<&'static str, Arc<Endpoint>>>,
+    tenants: TenantCounters,
 }
 
 impl Broker {
@@ -574,7 +651,9 @@ impl Broker {
         // Default lane count: one below the worker count (min 1), so
         // cold solves dispatched through the pool can never occupy
         // every worker — there is always headroom for another tenant's
-        // batch to make progress.
+        // cold batch to make progress. Warm groups never reach the
+        // pool (they resolve on the calling thread), so this headroom
+        // concerns cold batches only.
         let lanes = if config.solve_lanes == 0 {
             pool.threads().saturating_sub(1).max(1)
         } else {
@@ -593,6 +672,8 @@ impl Broker {
             registry.gauge("cyclesteal_lane_waiters"),
         );
         let inflight_gauge = registry.gauge("cyclesteal_inflight_batches");
+        let handoffs = registry.counter("cyclesteal_pool_handoffs_total");
+        let tenants = TenantCounters::new(registry);
         Ok(Broker {
             shared: Arc::new(Shared {
                 cache,
@@ -602,6 +683,7 @@ impl Broker {
                 obs,
             }),
             pool,
+            handoffs,
             snapshot_dir: config.snapshot_dir,
             admission: Admission {
                 inflight: AtomicUsize::new(0),
@@ -612,7 +694,8 @@ impl Broker {
                 },
                 gauge: inflight_gauge,
             },
-            endpoints: parking_lot::Mutex::new(HashMap::new()),
+            endpoints: RwLock::new(HashMap::new()),
+            tenants,
         })
     }
 
@@ -731,52 +814,58 @@ impl Broker {
         // Group by grid; each group solves once at the max (p, L) asked
         // of it — a p_max solve holds every smaller budget exactly. The
         // per-group query count feeds the per-tenant traffic counters.
-        let mut groups: HashMap<(u64, u32), (GuaranteeQuery, u64)> = HashMap::new();
-        for q in queries {
-            groups
-                .entry((q.setup.get().to_bits(), q.ticks_per_setup))
-                .and_modify(|(g, n)| {
-                    if q.lifespan > g.lifespan {
-                        g.lifespan = q.lifespan;
-                    }
-                    if q.interrupts > g.interrupts {
-                        g.interrupts = q.interrupts;
-                    }
-                    *n += 1;
-                })
-                .or_insert((*q, 1));
+        let (groups, group_of) = group_by_grid(queries);
+        let registry = self.shared.obs.registry();
+        for group in &groups {
+            self.tenants.record(registry, group.tenant, group.queries);
         }
 
-        let group_list: Vec<((u64, u32), GuaranteeQuery)> = groups
-            .into_iter()
-            .map(|(key, (g, n))| {
-                record_tenant_queries(self.shared.obs.registry(), &g, n);
-                (key, g)
+        // Every group is looked up here, on the calling thread: a warm
+        // group costs one cache probe and never leaves it. Only the
+        // misses go on to the cold path.
+        let mut tables: Vec<Option<Arc<CompressedTable>>> = groups
+            .iter()
+            .map(|group| {
+                let g = &group.covering;
+                self.shared.cache.try_get_compressed(
+                    g.setup,
+                    g.ticks_per_setup,
+                    g.lifespan,
+                    g.interrupts,
+                )
             })
             .collect();
-        let tables: Vec<Result<Arc<CompressedTable>, ServeError>> = if group_list.len() <= 1 {
-            // The common case (one grid per batch) resolves inline —
-            // no pool hand-off latency.
-            group_list
-                .iter()
-                .map(|(_, g)| resolve(&self.shared, &ep, g, deadline, 0, trace_id))
-                .collect()
-        } else {
+        let misses: Vec<usize> = (0..groups.len()).filter(|&i| tables[i].is_none()).collect();
+        if let [only] = misses[..] {
+            // One cold group solves inline — no pool hand-off latency.
+            tables[only] = Some(resolve_cold(
+                &self.shared,
+                &ep,
+                &groups[only].covering,
+                deadline,
+                0,
+                trace_id,
+            )?);
+        } else if !misses.is_empty() {
+            // Two or more cold groups solve side by side on the pool.
             // Jobs return Results and contain their own panics, so no
             // panic can cross the pool boundary and abort the scatter.
-            let jobs: Vec<_> = group_list
+            let jobs: Vec<_> = misses
                 .iter()
-                .map(|(_, g)| {
+                .map(|&i| {
                     let shared = self.shared.clone();
                     let ep = ep.clone();
-                    let g = *g;
-                    move || resolve(&shared, &ep, &g, deadline, 0, trace_id)
+                    let g = groups[i].covering;
+                    move || resolve_cold(&shared, &ep, &g, deadline, 0, trace_id)
                 })
                 .collect();
-            self.pool.scatter(jobs)
-        };
-        let tables: Vec<Arc<CompressedTable>> =
-            tables.into_iter().collect::<Result<Vec<_>, _>>()?;
+            self.handoffs.add(jobs.len() as u64);
+            for (i, table) in misses.iter().zip(self.pool.scatter(jobs)) {
+                tables[*i] = Some(table?);
+            }
+        }
+        // Every slot is filled now: hits above, misses just solved.
+        let tables: Vec<Arc<CompressedTable>> = tables.into_iter().flatten().collect();
         // The answer contract is "within the deadline or a typed
         // reject", so a solve that finished late still errors — but its
         // table is cached now, which is exactly why the error is
@@ -790,13 +879,11 @@ impl Broker {
                 "answer ready only after the deadline",
             ));
         }
-        let by_group: HashMap<(u64, u32), Arc<CompressedTable>> =
-            group_list.iter().map(|(k, _)| *k).zip(tables).collect();
-
         let answers = queries
             .iter()
-            .map(|q| {
-                let table = &by_group[&(q.setup.get().to_bits(), q.ticks_per_setup)];
+            .zip(&group_of)
+            .map(|(q, &group)| {
+                let table = &tables[group];
                 let ticks = table
                     .grid()
                     .to_ticks(q.lifespan)
@@ -866,9 +953,9 @@ impl Broker {
         let covering = sweep_covering_query(sweep)?;
         self.shared.obs.span(trace_id, "broker.admission", t_sweep);
         let ep = self.endpoint(endpoint);
-        record_tenant_queries(
+        self.tenants.record(
             self.shared.obs.registry(),
-            &covering,
+            tenant_of(&covering),
             u64::from(sweep.count),
         );
         let table = resolve(&self.shared, &ep, &covering, deadline, 0, trace_id)?;
@@ -921,7 +1008,8 @@ impl Broker {
     pub fn stats(&self) -> BrokerStats {
         let mut endpoints: Vec<EndpointStats> = self
             .endpoints
-            .lock()
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
             .iter()
             .map(|(name, ep)| EndpointStats {
                 endpoint: (*name).to_string(),
@@ -1001,24 +1089,74 @@ impl Broker {
         }
     }
 
+    /// The endpoint's handles: a shared read lock once the label has
+    /// served a request, the write lock only on its first.
     fn endpoint(&self, name: &'static str) -> Arc<Endpoint> {
+        if let Some(ep) = self
+            .endpoints
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(name)
+        {
+            return ep.clone();
+        }
         self.endpoints
-            .lock()
+            .write()
+            .unwrap_or_else(|e| e.into_inner())
             .entry(name)
             .or_insert_with(|| Arc::new(Endpoint::new(self.shared.obs.registry(), name)))
             .clone()
     }
 }
 
-/// Bumps the per-tenant traffic counter for one resolved group: `n`
-/// queries against the tenant grid `(setup, ticks_per_setup)`. The
-/// label is human-readable (`"<setup>x<Q>"`), and tenant cardinality is
-/// bounded by the distinct grids a deployment actually serves.
-fn record_tenant_queries(registry: &Registry, g: &GuaranteeQuery, n: u64) {
-    let tenant = format!("{}x{}", g.setup.get(), g.ticks_per_setup);
-    registry
-        .counter_with("cyclesteal_tenant_queries_total", &[("tenant", &tenant)])
-        .add(n);
+/// The tenant grid a query belongs to.
+fn tenant_of(q: &GuaranteeQuery) -> TenantKey {
+    (q.setup.get().to_bits(), q.ticks_per_setup)
+}
+
+/// One grid's share of a batch: the covering query (the largest `p`
+/// and `L` asked of the grid) and how many queries it holds.
+struct Group {
+    tenant: TenantKey,
+    covering: GuaranteeQuery,
+    queries: u64,
+}
+
+/// Groups a batch by grid without hashing: the queries are sorted by
+/// grid (`O(n log n)` whatever a hostile batch holds) and each run of
+/// one grid becomes a group. Returns the groups in grid order and, for
+/// each query in input order, the index of its group.
+fn group_by_grid(queries: &[GuaranteeQuery]) -> (Vec<Group>, Vec<usize>) {
+    let mut order: Vec<(TenantKey, usize)> = queries
+        .iter()
+        .enumerate()
+        .map(|(i, q)| (tenant_of(q), i))
+        .collect();
+    order.sort_unstable();
+    let mut groups: Vec<Group> = Vec::new();
+    let mut group_of = vec![0; queries.len()];
+    for (tenant, i) in order {
+        let q = &queries[i];
+        match groups.last_mut() {
+            Some(group) if group.tenant == tenant => {
+                let g = &mut group.covering;
+                if q.lifespan > g.lifespan {
+                    g.lifespan = q.lifespan;
+                }
+                if q.interrupts > g.interrupts {
+                    g.interrupts = q.interrupts;
+                }
+                group.queries += 1;
+            }
+            _ => groups.push(Group {
+                tenant,
+                covering: *q,
+                queries: 1,
+            }),
+        }
+        group_of[i] = groups.len() - 1;
+    }
+    (groups, group_of)
 }
 
 /// Largest grid extent (in ticks) one query may demand —
@@ -1155,6 +1293,28 @@ fn solve_guarded(shared: &Shared, g: &GuaranteeQuery) -> Result<Arc<CompressedTa
 /// **fast lane**: a covering cached table answers immediately, with no
 /// flight, no solve lane and no tenant quota — so one tenant's cold
 /// solves can never queue (or shed) another tenant's warm traffic.
+/// Misses take the cold path ([`resolve_cold`]). The sweep path and a
+/// poisoned flight's retry come here; a batch runs the fast lane for
+/// its groups itself and sends only the misses to [`resolve_cold`], on
+/// the pool only when there are two or more of them.
+fn resolve(
+    shared: &Shared,
+    ep: &Endpoint,
+    g: &GuaranteeQuery,
+    deadline: Option<Instant>,
+    attempt: u32,
+    trace_id: u64,
+) -> Result<Arc<CompressedTable>, ServeError> {
+    match shared
+        .cache
+        .try_get_compressed(g.setup, g.ticks_per_setup, g.lifespan, g.interrupts)
+    {
+        Some(table) => Ok(table),
+        None => resolve_cold(shared, ep, g, deadline, attempt, trace_id),
+    }
+}
+
+/// The cold path of [`resolve`], for a group the cache just missed.
 /// Cold groups run single-flight coalescing: the first arrival for a
 /// `(setup, Q, p_max)` key leads the solve — after taking a fairness
 /// lane under its tenant's quota ([`FairGate`]) — and concurrent
@@ -1169,7 +1329,7 @@ fn solve_guarded(shared: &Shared, g: &GuaranteeQuery) -> Result<Arc<CompressedTa
 /// back to its own solve (rare: headroom absorbs creeping lifespans).
 /// A deadline bounds the condvar wait; expiry is a retryable
 /// `DeadlineExceeded`.
-fn resolve(
+fn resolve_cold(
     shared: &Shared,
     ep: &Endpoint,
     g: &GuaranteeQuery,
@@ -1177,14 +1337,6 @@ fn resolve(
     attempt: u32,
     trace_id: u64,
 ) -> Result<Arc<CompressedTable>, ServeError> {
-    // Warm-hit fast lane: answered straight from the sharded cache.
-    if let Some(table) =
-        shared
-            .cache
-            .try_get_compressed(g.setup, g.ticks_per_setup, g.lifespan, g.interrupts)
-    {
-        return Ok(table);
-    }
     let key = SolveKey {
         setup_bits: g.setup.get().to_bits(),
         ticks_per_setup: g.ticks_per_setup,
@@ -1328,19 +1480,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batch_answers_match_direct_cache_queries() {
-        let broker = Broker::new(BrokerConfig::default()).unwrap();
-        let queries = vec![
-            q(1.0, 8, 1, 40.0),
-            q(1.0, 8, 2, 100.0),
-            q(1.0, 8, 2, 0.0),
-            q(2.0, 4, 1, 60.0),
-        ];
-        let answers = broker.query_batch(&queries).unwrap();
-        // Two grids → at most two solves, whatever the batch size.
-        assert!(broker.cache().stats().misses <= 2);
-        for (query, answer) in queries.iter().zip(&answers) {
+    /// Asserts each answer is bit-identical to a direct
+    /// `TableCache::get_compressed` lookup of its own query.
+    fn assert_matches_direct_lookups(
+        broker: &Broker,
+        queries: &[GuaranteeQuery],
+        answers: &[GuaranteeAnswer],
+    ) {
+        assert_eq!(queries.len(), answers.len());
+        for (query, answer) in queries.iter().zip(answers) {
             let direct = broker.cache().get_compressed(
                 query.setup,
                 query.ticks_per_setup,
@@ -1359,6 +1507,120 @@ mod tests {
                 direct.value_ticks(query.interrupts, ticks)
             );
         }
+    }
+
+    #[test]
+    fn batch_answers_match_direct_cache_queries() {
+        let broker = Broker::new(BrokerConfig::default()).unwrap();
+        let queries = vec![
+            q(1.0, 8, 1, 40.0),
+            q(1.0, 8, 2, 100.0),
+            q(1.0, 8, 2, 0.0),
+            q(2.0, 4, 1, 60.0),
+        ];
+        let answers = broker.query_batch(&queries).unwrap();
+        // Two grids → at most two solves, whatever the batch size.
+        assert!(broker.cache().stats().misses <= 2);
+        assert_matches_direct_lookups(&broker, &queries, &answers);
+
+        // A batch mixing the now-resident grids (hits, answered on the
+        // calling thread) with two fresh ones (misses, solved on the
+        // pool), its queries interleaved across grids.
+        let mixed = vec![
+            q(3.0, 8, 2, 90.0),
+            q(1.0, 8, 1, 30.0),
+            q(0.5, 4, 1, 12.0),
+            q(2.0, 4, 1, 20.0),
+            q(3.0, 8, 1, 45.0),
+            q(1.0, 8, 2, 100.0),
+            q(0.5, 4, 3, 7.5),
+        ];
+        let before = broker.cache().stats();
+        let answers = broker.query_batch(&mixed).unwrap();
+        let after = broker.cache().stats();
+        assert_eq!(after.hits - before.hits, 2, "two resident grids hit");
+        assert_eq!(after.misses - before.misses, 2, "two fresh grids solve");
+        assert_matches_direct_lookups(&broker, &mixed, &answers);
+    }
+
+    /// `count` distinct cheap grids (setup `1 + i/16`, `Q` 4, `L` 12).
+    fn grids(count: usize) -> Vec<GuaranteeQuery> {
+        (0..count)
+            .map(|i| q(1.0 + i as f64 / 16.0, 4, 2, 12.0))
+            .collect()
+    }
+
+    #[test]
+    fn warm_batches_never_hand_off_to_the_pool() {
+        let broker = Broker::new(BrokerConfig::default()).unwrap();
+        let resident = grids(6);
+        broker.query_batch(&resident).unwrap();
+        let handoffs = broker.handoffs.get();
+        let hits = broker.cache().stats().hits;
+        // Two queries per grid, interleaved: still one lookup a grid.
+        let warm: Vec<GuaranteeQuery> = resident
+            .iter()
+            .chain(&resident)
+            .map(|g| GuaranteeQuery {
+                interrupts: 1,
+                ..*g
+            })
+            .collect();
+        let answers = broker.query_batch(&warm).unwrap();
+        assert_eq!(broker.handoffs.get() - handoffs, 0, "warm batch");
+        assert_eq!(broker.cache().stats().hits - hits, 6, "one hit per grid");
+        assert_eq!(broker.cache().stats().misses, 6, "the first batch only");
+        assert_matches_direct_lookups(&broker, &warm, &answers);
+    }
+
+    #[test]
+    fn only_two_or_more_misses_reach_the_pool() {
+        let broker = Broker::new(BrokerConfig::default()).unwrap();
+        let all = grids(10);
+        broker.query_batch(&all[..3]).unwrap();
+        assert_eq!(broker.handoffs.get(), 3, "three cold grids: three jobs");
+
+        // Resident grids plus exactly one miss: solved inline.
+        broker.query_batch(&all[..4]).unwrap();
+        assert_eq!(broker.handoffs.get(), 3, "one miss adds no hand-off");
+        assert_eq!(broker.cache().stats().misses, 4);
+
+        // Resident grids plus k = 6 misses: k jobs, hits stay inline.
+        let before = broker.cache().stats();
+        let answers = broker.query_batch(&all).unwrap();
+        let after = broker.cache().stats();
+        assert_eq!(broker.handoffs.get(), 3 + 6, "k misses add k hand-offs");
+        assert_eq!(after.hits - before.hits, 4);
+        assert_eq!(after.misses - before.misses, 6);
+        assert_matches_direct_lookups(&broker, &all, &answers);
+    }
+
+    #[test]
+    fn tenant_series_fold_into_other_past_the_cap() {
+        let broker = Broker::new(BrokerConfig::default()).unwrap();
+        let registry = broker.obs().registry();
+        let extra = 3;
+        let batch = grids(MAX_TENANT_SERIES + extra);
+        broker.query_batch(&batch).unwrap();
+        // Again: known tenants count under their own series, folded
+        // ones under "other" again.
+        broker.query_batch(&batch).unwrap();
+        let folded = registry
+            .lookup_counter("cyclesteal_tenant_series_folded_total", &[])
+            .unwrap();
+        assert_eq!(folded.get(), 2 * extra as u64);
+        let other = registry
+            .lookup_counter("cyclesteal_tenant_queries_total", &[("tenant", "other")])
+            .unwrap();
+        assert_eq!(other.get(), 2 * extra as u64);
+        assert_eq!(
+            broker.tenants.named.read().unwrap().len(),
+            MAX_TENANT_SERIES
+        );
+        let first = registry
+            .lookup_counter("cyclesteal_tenant_queries_total", &[("tenant", "1x4")])
+            .unwrap();
+        assert_eq!(first.get(), 2);
     }
 
     #[test]

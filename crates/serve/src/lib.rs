@@ -96,7 +96,9 @@
 //! [`Server::start`] binds a listener with **one blocking thread per
 //! connection**: an acceptor thread hands each connection a thread that
 //! reads a frame, runs it against the broker inline and writes the
-//! answer (solves still share the broker's worker pool). The kernel
+//! answer. A batch's warm grids resolve right there on that thread;
+//! only a batch with two or more cold grids hands its solves to the
+//! broker's worker pool. The kernel
 //! wakes a connection's thread when its bytes land, so a request is
 //! never waiting on a poll and an idle server never wakes; each open
 //! connection costs a parked thread instead. [`Client`] frames batches

@@ -597,8 +597,10 @@ pub fn decode_stats(payload: &[u8]) -> io::Result<BrokerStats> {
         hits,
         misses,
         evictions,
-        compressed_entries: rd.u64()? as usize,
-        resident_bytes: rd.u64()? as usize,
+        compressed_entries: usize::try_from(rd.u64()?)
+            .map_err(|_| invalid("compressed entry count exceeds usize"))?,
+        resident_bytes: usize::try_from(rd.u64()?)
+            .map_err(|_| invalid("resident byte count exceeds usize"))?,
     };
     let resilience = ResilienceStats {
         shed: rd.u64()?,

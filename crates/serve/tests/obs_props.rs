@@ -12,7 +12,9 @@
 //!    [`Broker::stats`] are two reads of the *same* atomics: endpoint
 //!    counters match exactly, and summing the per-shard cache gauges
 //!    reproduces [`cyclesteal_dp::CacheStats`] totals exactly, even
-//!    after concurrent load.
+//!    after concurrent load. The per-tenant series, `tenant="other"`
+//!    included, sum to the endpoint's queries exactly, even over more
+//!    grids than [`MAX_TENANT_SERIES`].
 //! 3. **Profiling neutrality** — enabling solver phase profiling (and
 //!    tracing) changes observability output only; answers stay
 //!    bit-identical to an uninstrumented broker.
@@ -23,6 +25,7 @@
 
 use cyclesteal_core::time::secs;
 use cyclesteal_obs::{parse_exposition, LogicalClock, Sample};
+use cyclesteal_serve::broker::MAX_TENANT_SERIES;
 use cyclesteal_serve::{Broker, BrokerConfig, Client, GuaranteeQuery, ObsHub, Server, SweepQuery};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -212,6 +215,80 @@ fn op4_pull_reconciles_exactly_with_broker_stats() {
             ("tenant", "1x8")
         ),
         tcp.queries
+    );
+    server.shutdown();
+}
+
+#[test]
+fn tenant_series_reconcile_exactly_across_more_grids_than_the_cap() {
+    const PAST_CAP: usize = 5;
+    let broker = Arc::new(Broker::new(BrokerConfig::default()).unwrap());
+    let server = Server::start("127.0.0.1:0", broker.clone()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+
+    // One batch over MAX_TENANT_SERIES + PAST_CAP cheap grids (Q 4,
+    // 12-tick lifespans), two queries a grid, plus a sweep on a grid
+    // past the cap: every grid's queries must be counted exactly once,
+    // under its own series or under "other".
+    let grids = MAX_TENANT_SERIES + PAST_CAP;
+    let queries: Vec<GuaranteeQuery> = (0..grids)
+        .flat_map(|i| {
+            let setup = secs(1.0 + i as f64 / 64.0);
+            [1, 2].map(|p| GuaranteeQuery {
+                setup,
+                ticks_per_setup: 4,
+                interrupts: p,
+                lifespan: setup * 3.0,
+            })
+        })
+        .collect();
+    let answers = client.query_batch(&queries).unwrap();
+    assert_eq!(answers.len(), 2 * grids);
+    client
+        .query_sweep(&SweepQuery {
+            setup: secs(1.0 + grids as f64 / 64.0),
+            ticks_per_setup: 4,
+            interrupts: 1,
+            first_tick: 0,
+            count: 16,
+        })
+        .unwrap();
+
+    let stats = client.stats().unwrap();
+    let (text, _spans) = client.fetch_metrics().unwrap();
+    let samples = parse_exposition(&text);
+    let tcp = stats
+        .endpoints
+        .iter()
+        .find(|e| e.endpoint == "tcp")
+        .expect("tcp endpoint served traffic");
+    assert_eq!(tcp.queries, 2 * grids as u64 + 16);
+    assert_eq!(
+        sample_sum(&samples, "cyclesteal_tenant_queries_total"),
+        tcp.queries,
+        "every query lands in exactly one tenant series"
+    );
+    let tenant_series = samples
+        .iter()
+        .filter(|s| s.name == "cyclesteal_tenant_queries_total")
+        .count();
+    assert_eq!(tenant_series, MAX_TENANT_SERIES + 1, "the cap plus other");
+    assert_eq!(
+        samples
+            .iter()
+            .find(|s| s.name == "cyclesteal_tenant_series_folded_total")
+            .expect("folded counter exported")
+            .value,
+        PAST_CAP as u64 + 1,
+        "the grids past the cap, and the sweep's"
+    );
+    assert_eq!(
+        sample_value(
+            &samples,
+            "cyclesteal_tenant_queries_total",
+            ("tenant", "other")
+        ),
+        2 * PAST_CAP as u64 + 16
     );
     server.shutdown();
 }

@@ -335,8 +335,13 @@ fn decode_row(payload: &[u8], level: usize) -> Result<RowParts, StoreError> {
         }
     }
     let zero_until = r.i64("row zero_until")?;
-    let run_count = r.u64("run count")? as usize;
-    let res_count = r.u64("residual count")? as usize;
+    let count = |n: u64, what: &str| {
+        usize::try_from(n).map_err(|_| {
+            StoreError::Malformed(format!("{what} {n} at level {level} exceeds usize"))
+        })
+    };
+    let run_count = count(r.u64("run count")?, "run count")?;
+    let res_count = count(r.u64("residual count")?, "residual count")?;
     // The counts must match the section exactly: a corrupt count is
     // caught before any allocation larger than the payload.
     let run_bytes = r.take(

@@ -14,9 +14,12 @@
 //! renders the op-4 pull. `pull` renders any running `serve_demo
 //! server`. `smoke` is the CI `obs-smoke` step: it additionally
 //! asserts that the op-4 exposition reconciles **exactly** with
-//! [`Broker::stats`], that a client-chosen trace id produced a span at
-//! every pipeline stage of a cold solve, that solver phase profiling
-//! recorded timings, and that the span journal dumps as JSON lines.
+//! [`Broker::stats`] (the per-tenant series sum to the tcp endpoint's
+//! queries), that a warm batch spanning every tenant grid is answered
+//! on the connection thread (0 pool hand-offs, 0 misses), that a
+//! client-chosen trace id produced a span at every pipeline stage of a
+//! cold solve, that solver phase profiling recorded timings, and that
+//! the span journal dumps as JSON lines.
 
 use cyclesteal_core::time::secs;
 use cyclesteal_obs::{parse_exposition, Sample, SpanRecord};
@@ -285,9 +288,21 @@ fn render_dashboard(text: &str, spans: &[SpanRecord], elapsed_s: f64) {
     }
 }
 
+/// What one local run leaves for the dashboard and the smoke gate.
+struct LocalRun {
+    broker: Arc<Broker>,
+    text: String,
+    spans: Vec<SpanRecord>,
+    elapsed_s: f64,
+    /// Pool hand-offs and cache misses added by the warm batch that
+    /// spans every tenant grid.
+    warm_handoffs: u64,
+    warm_misses: u64,
+}
+
 /// Starts an ephemeral instrumented server, drives the mixed workload,
-/// and returns everything the dashboard (and the smoke gate) needs.
-fn run_local() -> (Arc<Broker>, String, Vec<SpanRecord>, f64) {
+/// then one warm batch over every tenant grid, and pulls op 4.
+fn run_local() -> LocalRun {
     let broker = Arc::new(Broker::new(BrokerConfig::default()).unwrap());
     broker.enable_profiling();
     let server = Server::start("127.0.0.1:0", broker.clone()).unwrap();
@@ -295,14 +310,45 @@ fn run_local() -> (Arc<Broker>, String, Vec<SpanRecord>, f64) {
     drive_traffic(server.local_addr());
     let elapsed_s = started.elapsed().as_secs_f64();
     let mut client = Client::connect(server.local_addr()).unwrap();
+
+    // Every grid is resident now, so this multi-grid batch must be
+    // answered on the connection thread: no pool job, no miss.
+    let handoffs = broker
+        .obs()
+        .registry()
+        .lookup_counter("cyclesteal_pool_handoffs_total", &[])
+        .expect("registered at broker build");
+    let (handoffs_before, misses_before) = (handoffs.get(), broker.stats().cache.misses);
+    let warm: Vec<GuaranteeQuery> = TENANTS
+        .iter()
+        .flat_map(|&(setup, ticks)| {
+            (1..=3).map(move |p| GuaranteeQuery {
+                setup: secs(setup),
+                ticks_per_setup: ticks,
+                interrupts: p,
+                lifespan: secs(20.0),
+            })
+        })
+        .collect();
+    client.query_batch(&warm).unwrap();
+    let warm_handoffs = handoffs.get() - handoffs_before;
+    let warm_misses = broker.stats().cache.misses - misses_before;
+
     let (text, spans) = client.fetch_metrics().unwrap();
     server.shutdown();
-    (broker, text, spans, elapsed_s)
+    LocalRun {
+        broker,
+        text,
+        spans,
+        elapsed_s,
+        warm_handoffs,
+        warm_misses,
+    }
 }
 
 fn run_demo() {
-    let (_broker, text, spans, elapsed_s) = run_local();
-    render_dashboard(&text, &spans, elapsed_s);
+    let run = run_local();
+    render_dashboard(&run.text, &run.spans, run.elapsed_s);
 }
 
 fn run_pull(addr: &str) {
@@ -314,7 +360,14 @@ fn run_pull(addr: &str) {
 
 fn run_smoke() {
     println!("[obs-smoke 1/3] instrumented server under mixed 3-tenant traffic…");
-    let (broker, text, spans, elapsed_s) = run_local();
+    let LocalRun {
+        broker,
+        text,
+        spans,
+        elapsed_s,
+        warm_handoffs,
+        warm_misses,
+    } = run_local();
     let samples = parse_exposition(&text);
     let stats = broker.stats();
 
@@ -350,7 +403,18 @@ fn run_smoke() {
             .sum();
         assert_eq!(sum, want, "shard sum of {series}");
     }
-    println!("[obs-smoke 2/3] op-4 pull reconciles exactly with BrokerStats…");
+    // Every query the tcp endpoint counted lands in exactly one tenant
+    // series (`tenant="other"` included).
+    let tenant_sum: u64 = by_label(&samples, "cyclesteal_tenant_queries_total", "tenant")
+        .values()
+        .sum();
+    assert_eq!(tenant_sum, tcp.queries, "Σ tenant series vs tcp queries");
+    // The warm multi-grid batch never left the connection thread.
+    assert_eq!(warm_handoffs, 0, "warm batch handed jobs to the pool");
+    assert_eq!(warm_misses, 0, "warm batch missed the cache");
+    println!(
+        "[obs-smoke 2/3] op-4 pull reconciles exactly with BrokerStats; warm batch: 0 hand-offs…"
+    );
 
     // Gate 2: the pinned trace crossed every pipeline stage, and the
     // solver phases were profiled.
