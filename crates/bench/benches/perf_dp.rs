@@ -270,7 +270,7 @@ fn acceptance_report(c: &mut Criterion) {
     // bench_diff at serve_qps_instrumented ≥ 0.9 × serve_qps within the
     // same run — the instrumentation overhead budget is 10%.
     let serve_qps_instrumented = {
-        use cyclesteal_serve::{Broker, BrokerConfig, GuaranteeQuery};
+        use cyclesteal_serve::{Broker, BrokerConfig, GuaranteeQuery, Request};
         let broker = std::sync::Arc::new(Broker::new(BrokerConfig::default()).unwrap());
         broker.enable_profiling();
         let queries: Vec<GuaranteeQuery> = (0..64)
@@ -292,11 +292,11 @@ fn acceptance_report(c: &mut Criterion) {
                 scope.spawn(move || {
                     for b in 0..batches_per_thread {
                         let trace = 1 + (t * batches_per_thread + b) as u64;
-                        black_box(
-                            broker
-                                .query_batch_traced("inproc", black_box(queries), None, trace)
-                                .unwrap(),
-                        );
+                        let request = Request {
+                            trace_id: trace,
+                            ..Request::batch(black_box(queries))
+                        };
+                        black_box(broker.serve(&request).unwrap());
                     }
                 });
             }

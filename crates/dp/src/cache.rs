@@ -246,7 +246,8 @@ impl TableCache {
     }
 
     /// How many lock domains this cache spreads grid keys over.
-    pub fn shard_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn shard_count(&self) -> usize {
         self.shards.len()
     }
 

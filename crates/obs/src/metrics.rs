@@ -313,12 +313,6 @@ impl Registry {
         map.get(&SeriesKey::new(name, labels)).cloned()
     }
 
-    /// Look up an existing histogram without registering it.
-    pub fn lookup_histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<Histogram> {
-        let map = self.histograms.lock().unwrap_or_else(|e| e.into_inner());
-        map.get(&SeriesKey::new(name, labels)).cloned()
-    }
-
     /// Render the full registry as deterministic Prometheus-style text.
     ///
     /// Counters and gauges emit one `name{labels} value` line each.

@@ -15,7 +15,6 @@
 #![forbid(unsafe_code)]
 
 pub mod pool;
-pub mod reduce;
 pub mod sweep;
 
 pub use pool::WorkerPool;

@@ -10,9 +10,10 @@
 //!
 //! ## Failure semantics
 //!
-//! Every failure a batch can hit is a typed [`ServeError`]:
+//! Every failure a request (a batch or a sweep, through one
+//! [`Broker::serve`]) can hit is a typed [`ServeError`]:
 //!
-//! * **Admission.** At most [`BrokerConfig::max_inflight`] batches are
+//! * **Admission.** At most [`BrokerConfig::max_inflight`] requests are
 //!   admitted concurrently; the rest are shed immediately with
 //!   [`ErrorCode::Overloaded`](crate::ErrorCode::Overloaded) — the
 //!   broker never queues unboundedly.
@@ -24,8 +25,8 @@
 //!   past its [`BrokerConfig::tenant_quota`] in-flight cold solves is
 //!   shed with the retryable `Overloaded` (counted in
 //!   [`ResilienceStats::tenant_sheds`]).
-//! * **Deadlines.** A batch may carry a deadline
-//!   ([`Broker::query_batch_within`]). It is checked on admission,
+//! * **Deadlines.** A request may carry a deadline
+//!   ([`Request::deadline`]). It is checked on admission,
 //!   before a leader starts a solve, and bounds how long a follower
 //!   waits on a coalesced flight — a query that would blow its deadline
 //!   joining a cold solve is rejected early with the retryable
@@ -33,7 +34,7 @@
 //!   instead of blocking past it.
 //! * **Panic containment.** A panicking solve is caught
 //!   ([`std::panic::catch_unwind`]) — it can *never* escape
-//!   [`Broker::query_batch`]. The poisoned flight is retried once by a
+//!   [`Broker::serve`]. The poisoned flight is retried once by a
 //!   new leader (the first follower to observe the poison); a second
 //!   poison makes followers solve for themselves. The panicked
 //!   request itself gets a retryable
@@ -51,6 +52,7 @@ use cyclesteal_dp::{CacheStats, Grid, Phase, PhaseTimings, TableCache, ValueRun}
 use cyclesteal_obs::{Counter, Gauge, Histogram, Registry, SpanRecord};
 use cyclesteal_par::WorkerPool;
 use cyclesteal_store::CacheSnapshotExt;
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -101,6 +103,94 @@ pub struct SweepQuery {
     pub count: u32,
 }
 
+/// What a [`Request`] asks: guarantees at chosen points, or at every
+/// lifespan tick of one row's window.
+#[derive(Clone, Debug, PartialEq)]
+pub enum RequestBody<'a> {
+    /// A batch of point queries (wire op 1), answered in input order.
+    /// Borrowed in-process; owned when decoded off the wire.
+    Batch(Cow<'a, [GuaranteeQuery]>),
+    /// One streaming sweep (wire op 3), answered as run descriptors.
+    Sweep(SweepQuery),
+}
+
+/// One guarantee request, the unit [`Broker::serve`] answers and
+/// [`crate::Client::send`] sends: a body plus how to account for it.
+/// Build one with [`Request::batch`] or [`Request::sweep`] and set the
+/// other fields with struct-update syntax.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Request<'a> {
+    /// What is asked.
+    pub body: RequestBody<'a>,
+    /// The endpoint label the request is counted under (`"inproc"`,
+    /// `"tcp"`). Not sent on the wire: the server counts every TCP
+    /// request under `"tcp"`.
+    pub endpoint: &'static str,
+    /// When the answer stops being useful. The broker checks it on
+    /// admission, before a leader starts a solve, while a follower waits
+    /// on a coalesced flight, and once the tables are resolved; expiry
+    /// is the retryable `DeadlineExceeded`.
+    pub deadline: Option<Instant>,
+    /// Nonzero: every pipeline stage the request crosses records a span
+    /// under this id (`broker.admission`, `broker.lane`,
+    /// `broker.flight`, `broker.solve`, then `broker.batch` or
+    /// `broker.sweep`). Zero is the untraced fast path: no clock reads,
+    /// no journal writes.
+    pub trace_id: u64,
+}
+
+impl<'a> Request<'a> {
+    /// An untraced batch request with no deadline, counted as `"inproc"`.
+    pub fn batch(queries: &'a [GuaranteeQuery]) -> Request<'a> {
+        Request::of(RequestBody::Batch(Cow::Borrowed(queries)))
+    }
+
+    /// An untraced sweep request with no deadline, counted as `"inproc"`.
+    pub fn sweep(sweep: SweepQuery) -> Request<'a> {
+        Request::of(RequestBody::Sweep(sweep))
+    }
+
+    fn of(body: RequestBody<'a>) -> Request<'a> {
+        Request {
+            body,
+            endpoint: "inproc",
+            deadline: None,
+            trace_id: 0,
+        }
+    }
+}
+
+/// What [`Broker::serve`] answers: one variant per [`RequestBody`].
+#[derive(Clone, Debug, PartialEq)]
+pub enum Response {
+    /// A batch's answers, in query order.
+    Answers(Vec<GuaranteeAnswer>),
+    /// A sweep window's arithmetic-run descriptors; expanding them
+    /// ([`cyclesteal_dp::expand_value_runs`]) is bit-identical to
+    /// querying `value_ticks` at every tick of the window.
+    Runs(Vec<ValueRun>),
+}
+
+impl Response {
+    /// A batch response's answers. A sweep response is an internal
+    /// error: a batch request is never answered with runs.
+    pub fn into_answers(self) -> Result<Vec<GuaranteeAnswer>, ServeError> {
+        match self {
+            Response::Answers(answers) => Ok(answers),
+            Response::Runs(_) => Err(ServeError::internal("batch answered with runs")),
+        }
+    }
+
+    /// A sweep response's run descriptors. A batch response is an
+    /// internal error: a sweep request is never answered with answers.
+    pub fn into_runs(self) -> Result<Vec<ValueRun>, ServeError> {
+        match self {
+            Response::Runs(runs) => Ok(runs),
+            Response::Answers(_) => Err(ServeError::internal("sweep answered with answers")),
+        }
+    }
+}
+
 /// In-flight batch budget used when [`BrokerConfig::max_inflight`] is
 /// zero: far above any sane concurrency, small enough that a runaway
 /// client sheds instead of exhausting memory.
@@ -132,7 +222,7 @@ pub struct BrokerConfig {
     /// Snapshot directory: warmed from at startup, snapshotted to on
     /// eviction and on [`Broker::snapshot`].
     pub snapshot_dir: Option<PathBuf>,
-    /// Most batches admitted concurrently; the rest are shed with
+    /// Most requests admitted concurrently; the rest are shed with
     /// `Overloaded` (`0` = [`DEFAULT_MAX_INFLIGHT`]).
     pub max_inflight: usize,
     /// Most cold solves one tenant grid `(setup, ticks_per_setup)` may
@@ -151,9 +241,9 @@ pub struct BrokerConfig {
 /// or failed a snapshot-on-evict write.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ResilienceStats {
-    /// Batches shed by the in-flight budget (`Overloaded`).
+    /// Requests shed by the in-flight budget (`Overloaded`).
     pub shed: u64,
-    /// Batches rejected because their deadline expired (on admission,
+    /// Requests rejected because their deadline expired (on admission,
     /// before a solve, or waiting on a coalesced flight).
     pub deadline_rejects: u64,
     /// Solve panics contained by the flight machinery.
@@ -163,7 +253,7 @@ pub struct ResilienceStats {
     /// Snapshot-on-evict writes that failed (logged, never propagated).
     pub snapshot_failures: u64,
     /// Cold solves shed by a tenant's per-grid quota (`Overloaded`).
-    /// Distinct from `shed`, which counts whole batches shed by the
+    /// Distinct from `shed`, which counts whole requests shed by the
     /// global in-flight budget.
     pub tenant_sheds: u64,
 }
@@ -201,6 +291,12 @@ impl Resilience {
             snapshot_failures: self.snapshot_failures.load(Ordering::Relaxed),
             tenant_sheds: self.tenant_sheds.load(Ordering::Relaxed),
         }
+    }
+
+    /// Counts one deadline reject and builds its typed error.
+    fn deadline_exceeded(&self, context: &str) -> ServeError {
+        self.deadline_rejects.fetch_add(1, Ordering::Relaxed);
+        ServeError::deadline_exceeded(context)
     }
 }
 
@@ -739,90 +835,80 @@ impl Broker {
         &self.shared.cache
     }
 
-    /// Answers a batch of queries, grouping them per `(setup, Q)` grid,
-    /// resolving each grid's covering table once (coalescing with any
-    /// concurrent request for the same solve), and answering every
-    /// query by table lookup. Answers are in input order and
-    /// bit-identical to querying the covering `TableCache` table
-    /// directly.
+    /// Answers a batch of queries in input order, bit-identically to
+    /// querying the covering `TableCache` table directly:
+    /// [`Broker::serve`] on an untraced, deadline-free
+    /// [`Request::batch`] counted as `"inproc"`.
     pub fn query_batch(
         &self,
         queries: &[GuaranteeQuery],
     ) -> Result<Vec<GuaranteeAnswer>, ServeError> {
-        self.query_batch_within("inproc", queries, None)
+        self.serve(&Request::batch(queries))?.into_answers()
     }
 
-    /// [`Self::query_batch`] recorded under an explicit endpoint label —
-    /// what the TCP server calls with `"tcp"`.
-    pub fn query_batch_at(
-        &self,
-        endpoint: &'static str,
-        queries: &[GuaranteeQuery],
-    ) -> Result<Vec<GuaranteeAnswer>, ServeError> {
-        self.query_batch_within(endpoint, queries, None)
-    }
-
-    /// The full batch entry point: endpoint label plus an optional
-    /// deadline. The deadline is enforced on admission, before any
-    /// solve starts, and while waiting on a coalesced flight — an
-    /// expired deadline is the retryable `DeadlineExceeded`, never an
-    /// open-ended block.
-    pub fn query_batch_within(
-        &self,
-        endpoint: &'static str,
-        queries: &[GuaranteeQuery],
-        deadline: Option<Instant>,
-    ) -> Result<Vec<GuaranteeAnswer>, ServeError> {
-        self.query_batch_traced(endpoint, queries, deadline, 0)
-    }
-
-    /// [`Self::query_batch_within`] carrying a request **trace id**: a
-    /// nonzero id makes every pipeline stage the batch crosses record a
-    /// span into the hub's journal (`broker.admission`, `broker.lane`,
-    /// `broker.flight`, `broker.solve`, `broker.batch`). Trace id 0 is
-    /// the untraced fast path — no clock reads, no journal writes.
-    pub fn query_batch_traced(
-        &self,
-        endpoint: &'static str,
-        queries: &[GuaranteeQuery],
-        deadline: Option<Instant>,
-        trace_id: u64,
-    ) -> Result<Vec<GuaranteeAnswer>, ServeError> {
+    /// Answers one request; both shapes take one path. The request is
+    /// admitted under [`BrokerConfig::max_inflight`] (or shed with
+    /// `Overloaded`), checked against its deadline and validated. A
+    /// batch then groups its queries per `(setup, Q)` grid and a sweep
+    /// is one grid; each grid's covering table is looked up on the
+    /// calling thread, and only the misses go on to a solve, coalesced
+    /// with any concurrent request for the same key. A table that is
+    /// ready only after the deadline still rejects the request. A batch
+    /// is answered by table lookup in input order, a sweep by its row's
+    /// run descriptors; both are bit-identical to querying the covering
+    /// `TableCache` table directly.
+    pub fn serve(&self, request: &Request<'_>) -> Result<Response, ServeError> {
+        let &Request {
+            ref body,
+            endpoint,
+            deadline,
+            trace_id,
+        } = request;
+        let (obs, res) = (&self.shared.obs, &self.shared.res);
         let start = Instant::now();
-        let t_batch = self.shared.obs.start_ns(trace_id);
-        let _permit = match self.admission.try_acquire() {
-            Some(permit) => permit,
-            None => {
-                self.shared.res.shed.fetch_add(1, Ordering::Relaxed);
-                return Err(ServeError::overloaded(
-                    self.admission.inflight.load(Ordering::Relaxed),
-                    self.admission.budget,
-                ));
-            }
+        let t_request = obs.start_ns(trace_id);
+        let Some(_permit) = self.admission.try_acquire() else {
+            res.shed.fetch_add(1, Ordering::Relaxed);
+            return Err(ServeError::overloaded(
+                self.admission.inflight.load(Ordering::Relaxed),
+                self.admission.budget,
+            ));
         };
         if expired(deadline) {
-            self.shared
-                .res
-                .deadline_rejects
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::deadline_exceeded("expired on arrival"));
+            return Err(res.deadline_exceeded("expired on arrival"));
         }
-        validate(queries)?;
-        self.shared.obs.span(trace_id, "broker.admission", t_batch);
+        // Each grid group solves once at the max (p, L) asked of it — a
+        // p_max solve holds every smaller budget exactly; a sweep's one
+        // group covers its window's last tick. Admission ends once the
+        // request is valid: grouping counts as resolving.
+        let (groups, group_of) = match body {
+            RequestBody::Batch(queries) => {
+                validate(queries)?;
+                obs.span(trace_id, "broker.admission", t_request);
+                group_by_grid(queries)
+            }
+            RequestBody::Sweep(sweep) => {
+                let covering = sweep_covering_query(sweep)?;
+                obs.span(trace_id, "broker.admission", t_request);
+                let group = Group {
+                    tenant: tenant_of(&covering),
+                    covering,
+                    queries: u64::from(sweep.count),
+                };
+                (vec![group], Vec::new())
+            }
+        };
         let ep = self.endpoint(endpoint);
-
-        // Group by grid; each group solves once at the max (p, L) asked
-        // of it — a p_max solve holds every smaller budget exactly. The
-        // per-group query count feeds the per-tenant traffic counters.
-        let (groups, group_of) = group_by_grid(queries);
-        let registry = self.shared.obs.registry();
         for group in &groups {
-            self.tenants.record(registry, group.tenant, group.queries);
+            self.tenants
+                .record(obs.registry(), group.tenant, group.queries);
         }
 
         // Every group is looked up here, on the calling thread: a warm
-        // group costs one cache probe and never leaves it. Only the
-        // misses go on to the cold path.
+        // group costs one cache probe and never leaves it — no flight,
+        // no solve lane, no tenant quota, so one tenant's cold solves
+        // can never queue (or shed) another tenant's warm traffic. Only
+        // the misses go on to the cold path.
         let mut tables: Vec<Option<Arc<CompressedTable>>> = groups
             .iter()
             .map(|group| {
@@ -871,119 +957,50 @@ impl Broker {
         // table is cached now, which is exactly why the error is
         // retryable: the next attempt answers from cache in time.
         if expired(deadline) {
-            self.shared
-                .res
-                .deadline_rejects
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::deadline_exceeded(
-                "answer ready only after the deadline",
-            ));
+            return Err(res.deadline_exceeded("answer ready only after the deadline"));
         }
-        let answers = queries
-            .iter()
-            .zip(&group_of)
-            .map(|(q, &group)| {
-                let table = &tables[group];
-                let ticks = table
-                    .grid()
-                    .to_ticks(q.lifespan)
-                    .clamp(0, table.max_ticks());
-                GuaranteeAnswer {
-                    value: table.value(q.interrupts, q.lifespan),
-                    value_ticks: table.value_ticks(q.interrupts, ticks),
+        let (response, queries, stage) = match body {
+            RequestBody::Batch(queries) => {
+                let answers = queries
+                    .iter()
+                    .zip(&group_of)
+                    .map(|(q, &group)| {
+                        let table = &tables[group];
+                        let ticks = table
+                            .grid()
+                            .to_ticks(q.lifespan)
+                            .clamp(0, table.max_ticks());
+                        GuaranteeAnswer {
+                            value: table.value(q.interrupts, q.lifespan),
+                            value_ticks: table.value_ticks(q.interrupts, ticks),
+                        }
+                    })
+                    .collect();
+                (Response::Answers(answers), queries.len(), "broker.batch")
+            }
+            RequestBody::Sweep(sweep) => {
+                let table = &tables[0];
+                let last = sweep.first_tick + i64::from(sweep.count) - 1;
+                if last > table.max_ticks() {
+                    // Defensive: the covering solve must reach the
+                    // window's end (grid round-trips are exact on tick
+                    // points). A table that doesn't is an internal
+                    // inconsistency, not the client's fault — and
+                    // retryable, since the next attempt resolves a fresh
+                    // covering table.
+                    return Err(ServeError::internal(format!(
+                        "covering table stops at tick {} before sweep end {last}",
+                        table.max_ticks()
+                    )));
                 }
-            })
-            .collect();
-        ep.record(queries.len(), start.elapsed().as_micros() as u64);
-        self.shared.obs.span(trace_id, "broker.batch", t_batch);
-        Ok(answers)
-    }
-
-    /// Answers one streaming sweep in-process: resolves the covering
-    /// table for the window through the same admission, tenant-quota,
-    /// deadline and coalescing machinery as [`Self::query_batch`], then
-    /// returns the row's arithmetic-run descriptors. Expanding them
-    /// ([`cyclesteal_dp::expand_value_runs`]) is bit-identical to
-    /// querying `value_ticks` at every tick of the window.
-    pub fn query_sweep(&self, sweep: &SweepQuery) -> Result<Vec<ValueRun>, ServeError> {
-        self.query_sweep_within("inproc", sweep, None)
-    }
-
-    /// The full sweep entry point: endpoint label plus an optional
-    /// deadline, with the admission/deadline semantics of
-    /// [`Self::query_batch_within`].
-    pub fn query_sweep_within(
-        &self,
-        endpoint: &'static str,
-        sweep: &SweepQuery,
-        deadline: Option<Instant>,
-    ) -> Result<Vec<ValueRun>, ServeError> {
-        self.query_sweep_traced(endpoint, sweep, deadline, 0)
-    }
-
-    /// [`Self::query_sweep_within`] carrying a request trace id, with
-    /// the span semantics of [`Self::query_batch_traced`] (the
-    /// request-level span is `broker.sweep`).
-    pub fn query_sweep_traced(
-        &self,
-        endpoint: &'static str,
-        sweep: &SweepQuery,
-        deadline: Option<Instant>,
-        trace_id: u64,
-    ) -> Result<Vec<ValueRun>, ServeError> {
-        let start = Instant::now();
-        let t_sweep = self.shared.obs.start_ns(trace_id);
-        let _permit = match self.admission.try_acquire() {
-            Some(permit) => permit,
-            None => {
-                self.shared.res.shed.fetch_add(1, Ordering::Relaxed);
-                return Err(ServeError::overloaded(
-                    self.admission.inflight.load(Ordering::Relaxed),
-                    self.admission.budget,
-                ));
+                let runs =
+                    table.value_runs(sweep.interrupts, sweep.first_tick, i64::from(sweep.count));
+                (Response::Runs(runs), sweep.count as usize, "broker.sweep")
             }
         };
-        if expired(deadline) {
-            self.shared
-                .res
-                .deadline_rejects
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::deadline_exceeded("expired on arrival"));
-        }
-        let covering = sweep_covering_query(sweep)?;
-        self.shared.obs.span(trace_id, "broker.admission", t_sweep);
-        let ep = self.endpoint(endpoint);
-        self.tenants.record(
-            self.shared.obs.registry(),
-            tenant_of(&covering),
-            u64::from(sweep.count),
-        );
-        let table = resolve(&self.shared, &ep, &covering, deadline, 0, trace_id)?;
-        if expired(deadline) {
-            self.shared
-                .res
-                .deadline_rejects
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::deadline_exceeded(
-                "answer ready only after the deadline",
-            ));
-        }
-        let last = sweep.first_tick + i64::from(sweep.count) - 1;
-        if last > table.max_ticks() {
-            // Defensive: the covering solve must reach the window's end
-            // (grid round-trips are exact on tick points). A table that
-            // doesn't is an internal inconsistency, not the client's
-            // fault — and retryable, since the next attempt resolves a
-            // fresh covering table.
-            return Err(ServeError::internal(format!(
-                "covering table stops at tick {} before sweep end {last}",
-                table.max_ticks()
-            )));
-        }
-        let runs = table.value_runs(sweep.interrupts, sweep.first_tick, i64::from(sweep.count));
-        ep.record(sweep.count as usize, start.elapsed().as_micros() as u64);
-        self.shared.obs.span(trace_id, "broker.sweep", t_sweep);
-        Ok(runs)
+        ep.record(queries, start.elapsed().as_micros() as u64);
+        obs.span(trace_id, stage, t_request);
+        Ok(response)
     }
 
     /// Snapshot every cached table to the configured directory (no-op
@@ -1289,32 +1306,7 @@ fn solve_guarded(shared: &Shared, g: &GuaranteeQuery) -> Result<Arc<CompressedTa
     })
 }
 
-/// Resolves one grid group to a covering table. Warm hits take the
-/// **fast lane**: a covering cached table answers immediately, with no
-/// flight, no solve lane and no tenant quota — so one tenant's cold
-/// solves can never queue (or shed) another tenant's warm traffic.
-/// Misses take the cold path ([`resolve_cold`]). The sweep path and a
-/// poisoned flight's retry come here; a batch runs the fast lane for
-/// its groups itself and sends only the misses to [`resolve_cold`], on
-/// the pool only when there are two or more of them.
-fn resolve(
-    shared: &Shared,
-    ep: &Endpoint,
-    g: &GuaranteeQuery,
-    deadline: Option<Instant>,
-    attempt: u32,
-    trace_id: u64,
-) -> Result<Arc<CompressedTable>, ServeError> {
-    match shared
-        .cache
-        .try_get_compressed(g.setup, g.ticks_per_setup, g.lifespan, g.interrupts)
-    {
-        Some(table) => Ok(table),
-        None => resolve_cold(shared, ep, g, deadline, attempt, trace_id),
-    }
-}
-
-/// The cold path of [`resolve`], for a group the cache just missed.
+/// Resolves a grid group the cache just missed to a covering table.
 /// Cold groups run single-flight coalescing: the first arrival for a
 /// `(setup, Q, p_max)` key leads the solve — after taking a fairness
 /// lane under its tenant's quota ([`FairGate`]) — and concurrent
@@ -1368,8 +1360,7 @@ fn resolve_cold(
         // guard's drop poisons the flight, so followers re-check their
         // own deadlines instead of hanging.
         if expired(deadline) {
-            shared.res.deadline_rejects.fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::deadline_exceeded("before the solve started"));
+            return Err(shared.res.deadline_exceeded("before the solve started"));
         }
         // A cold solve holds a fairness lane under its tenant's quota
         // for the whole solve; both reject paths are typed retryable
@@ -1389,8 +1380,7 @@ fn resolve_cold(
                 ));
             }
             Err(GateReject::Deadline) => {
-                shared.res.deadline_rejects.fetch_add(1, Ordering::Relaxed);
-                return Err(ServeError::deadline_exceeded("queued for a solve lane"));
+                return Err(shared.res.deadline_exceeded("queued for a solve lane"));
             }
         };
         let t_solve = shared.obs.start_ns(trace_id);
@@ -1416,10 +1406,7 @@ fn resolve_cold(
                 let now = Instant::now();
                 if now >= d {
                     drop(result);
-                    shared.res.deadline_rejects.fetch_add(1, Ordering::Relaxed);
-                    return Err(ServeError::deadline_exceeded(
-                        "waiting on a coalesced solve",
-                    ));
+                    return Err(shared.res.deadline_exceeded("waiting on a coalesced solve"));
                 }
                 result = flight
                     .cv
@@ -1453,7 +1440,15 @@ fn resolve_cold(
             drop(result);
             if attempt == 0 {
                 shared.res.flight_retries.fetch_add(1, Ordering::Relaxed);
-                resolve(shared, ep, g, deadline, attempt + 1, trace_id)
+                match shared.cache.try_get_compressed(
+                    g.setup,
+                    g.ticks_per_setup,
+                    g.lifespan,
+                    g.interrupts,
+                ) {
+                    Some(table) => Ok(table),
+                    None => resolve_cold(shared, ep, g, deadline, attempt + 1, trace_id),
+                }
             } else {
                 let t_solve = shared.obs.start_ns(trace_id);
                 let table = solve_guarded(shared, g)?;
@@ -1670,9 +1665,13 @@ mod tests {
     #[test]
     fn expired_deadlines_reject_before_any_solve() {
         let broker = Broker::new(BrokerConfig::default()).unwrap();
+        let queries = [q(1.0, 8, 1, 20.0)];
         let past = Instant::now() - Duration::from_millis(1);
         let err = broker
-            .query_batch_within("inproc", &[q(1.0, 8, 1, 20.0)], Some(past))
+            .serve(&Request {
+                deadline: Some(past),
+                ..Request::batch(&queries)
+            })
             .unwrap_err();
         assert_eq!(err.code, ErrorCode::DeadlineExceeded);
         assert!(err.retryable);
@@ -1682,10 +1681,13 @@ mod tests {
         // A generous deadline changes nothing about the answer.
         let future = Instant::now() + Duration::from_secs(60);
         let within = broker
-            .query_batch_within("inproc", &[q(1.0, 8, 1, 20.0)], Some(future))
+            .serve(&Request {
+                deadline: Some(future),
+                ..Request::batch(&queries)
+            })
             .unwrap();
-        let without = broker.query_batch(&[q(1.0, 8, 1, 20.0)]).unwrap();
-        assert_eq!(within, without);
+        let without = broker.query_batch(&queries).unwrap();
+        assert_eq!(within, Response::Answers(without));
     }
 
     #[test]
@@ -1706,6 +1708,42 @@ mod tests {
         drop(permit);
         // Budget released: the same batch now succeeds.
         assert!(broker.query_batch(&[q(1.0, 8, 1, 20.0)]).is_ok());
+    }
+
+    #[test]
+    fn sweeps_share_batch_admission_and_the_arrival_deadline() {
+        let broker = Broker::new(BrokerConfig {
+            max_inflight: 1,
+            ..BrokerConfig::default()
+        })
+        .unwrap();
+        let sweep = Request::sweep(SweepQuery {
+            setup: secs(2.0),
+            ticks_per_setup: 4,
+            interrupts: 1,
+            first_tick: 3,
+            count: 40,
+        });
+        // The single permit held: the sweep sheds like a batch.
+        let permit = broker.admission.try_acquire().expect("first admit");
+        let err = broker.serve(&sweep).unwrap_err();
+        assert_eq!(err.code, ErrorCode::Overloaded);
+        assert!(err.retryable);
+        assert_eq!(broker.stats().resilience.shed, 1);
+        drop(permit);
+        // Expired on arrival: rejected before any solve.
+        let err = broker
+            .serve(&Request {
+                deadline: Some(Instant::now() - Duration::from_millis(1)),
+                ..sweep.clone()
+            })
+            .unwrap_err();
+        assert_eq!(err.code, ErrorCode::DeadlineExceeded);
+        assert!(err.retryable);
+        assert_eq!(broker.stats().resilience.deadline_rejects, 1);
+        assert_eq!(broker.cache().stats().misses, 0, "nothing was solved");
+        // Neither reject leaks the permit: the sweep is then answered.
+        assert!(broker.serve(&sweep).unwrap().into_runs().is_ok());
     }
 
     #[test]
@@ -1730,7 +1768,10 @@ mod tests {
         let broker = Broker::new(BrokerConfig::default()).unwrap();
         broker.query_batch(&[q(1.0, 8, 1, 20.0)]).unwrap();
         broker
-            .query_batch_at("tcp", &[q(1.0, 8, 1, 20.0), q(1.0, 8, 1, 10.0)])
+            .serve(&Request {
+                endpoint: "tcp",
+                ..Request::batch(&[q(1.0, 8, 1, 20.0), q(1.0, 8, 1, 10.0)])
+            })
             .unwrap();
         let stats = broker.stats();
         assert_eq!(stats.endpoints.len(), 2);

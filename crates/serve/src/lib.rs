@@ -49,9 +49,10 @@
 //! > never a wrong value.
 //!
 //! The pieces: per-connection read/write **timeouts**
-//! ([`ServerConfig`]/[`ClientConfig`]); per-batch **deadlines** carried
-//! on the wire and enforced inside the broker
-//! ([`Broker::query_batch_within`]); **typed error frames**
+//! ([`ServerConfig`]/[`ClientConfig`]); per-request **deadlines**
+//! carried on the wire and enforced inside the broker
+//! ([`Request::deadline`], sent by [`Client::send`], served by
+//! [`Broker::serve`]); **typed error frames**
 //! ([`ErrorCode`] + retryable flag + message) instead of silent
 //! connection drops; client **retry** with capped exponential backoff
 //! and seeded jitter ([`RetryPolicy`]); **load shedding** past a
@@ -102,8 +103,10 @@
 //! wakes a connection's thread when its bytes land, so a request is
 //! never waiting on a poll and an idle server never wakes; each open
 //! connection costs a parked thread instead. [`Client`] frames batches
-//! to it and transparently retries transient failures. Sweep-shaped
-//! reads use the op-3 **streaming wire mode** ([`Broker::query_sweep`] /
+//! to it and transparently retries transient failures. A batch and a
+//! sweep are the two bodies of one [`Request`], answered by one
+//! [`Broker::serve`] and sent by one [`Client::send`]. Sweep-shaped
+//! reads use the op-3 **streaming wire mode** ([`Request::sweep`] /
 //! [`Client::query_sweep`]): a consecutive tick window travels back as
 //! arithmetic-run descriptors ([`cyclesteal_dp::ValueRun`]) and is
 //! expanded client-side, bit-identically to per-tick op-1 answers. See
@@ -121,8 +124,8 @@ pub mod server;
 pub mod wire;
 
 pub use broker::{
-    Broker, BrokerConfig, BrokerStats, EndpointStats, GuaranteeAnswer, GuaranteeQuery,
-    ResilienceStats, SweepQuery,
+    Broker, BrokerConfig, BrokerStats, EndpointStats, GuaranteeAnswer, GuaranteeQuery, Request,
+    RequestBody, ResilienceStats, Response, SweepQuery,
 };
 pub use errors::{ErrorCode, ServeError};
 pub use faults::{FaultPlan, FaultPoint, FaultsGuard};

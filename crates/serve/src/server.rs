@@ -42,17 +42,20 @@
 //!   CRC-corrupt frames) and typed retryable errors, with capped
 //!   exponential backoff and seeded full jitter ([`RetryPolicy`]),
 //!   reconnecting when the stream may be out of sync. Deadlines ride
-//!   the wire as relative budgets ([`Client::query_batch_within`]),
-//!   anchored when the server parses the frame, so time spent before
-//!   the broker call (an injected read delay, say) counts against
-//!   them.
+//!   the wire as relative budgets ([`Client::send`]), anchored when
+//!   the server parses the frame ([`wire::decode_request`]), so time
+//!   spent before the broker call (an injected read delay, say) counts
+//!   against them.
 //! * **Accept survival.** Transient `accept()` failures (EMFILE,
 //!   ECONNABORTED) back off — doubling up to a cap — and keep
 //!   accepting; only [`Server::shutdown`] stops the listener. A
 //!   connection whose thread cannot be spawned is closed and counted
 //!   (`reason="spawn_failed"`); the server keeps serving the rest.
 
-use crate::broker::{Broker, BrokerStats, GuaranteeAnswer, GuaranteeQuery, SweepQuery};
+use crate::broker::{
+    Broker, BrokerStats, GuaranteeAnswer, GuaranteeQuery, Request, RequestBody, Response,
+    SweepQuery,
+};
 use crate::errors::ServeError;
 use crate::faults::{self, FaultPoint};
 use crate::wire;
@@ -395,87 +398,54 @@ fn serve_connection(stream: &TcpStream, broker: &Broker, config: ServerConfig) -
     }
 }
 
-/// The wire's relative deadline budget as an absolute deadline,
-/// counted from when the server parsed the frame: time spent before
-/// the broker call (an injected read delay, say) is spent budget.
-/// `checked_add`, so an absurd (hostile) budget degrades to "none"
-/// instead of panicking on `Instant` overflow.
-fn deadline_from(parsed_at: Instant, deadline_us: u64) -> Option<Instant> {
-    match deadline_us {
-        wire::NO_DEADLINE_US => None,
-        us => parsed_at.checked_add(Duration::from_micros(us)),
-    }
-}
-
 /// Answers one request payload. `recv_ns` (hub clock) starts the
 /// request's `server.recv` span (frame parse → request start), and
 /// `parsed_at` anchors its wire deadline budget.
 fn handle_request(payload: &[u8], recv_ns: u64, parsed_at: Instant, broker: &Broker) -> Vec<u8> {
     let obs = broker.obs();
     match payload.split_first() {
-        Some((&wire::OP_QUERY_BATCH, body)) => {
-            match wire::decode_query_batch_traced(&mut { body }) {
-                Ok((queries, deadline_us, wire_trace)) => {
-                    // A request arriving untraced (legacy frame or trace
-                    // id 0) still gets a server-assigned id, so every
-                    // TCP request is followable through the pipeline.
-                    let trace_id = if wire_trace != 0 {
-                        wire_trace
-                    } else {
-                        obs.assign_trace_id()
-                    };
-                    obs.span(trace_id, "server.recv", recv_ns);
-                    let deadline = deadline_from(parsed_at, deadline_us);
-                    let t_dispatch = obs.start_ns(trace_id);
-                    let outcome = broker.query_batch_traced("tcp", &queries, deadline, trace_id);
-                    obs.span(trace_id, "server.dispatch", t_dispatch);
-                    match outcome {
-                        Ok(answers) => wire::encode_answers(&answers),
-                        Err(e) => wire::encode_error(&e),
-                    }
+        Some((&(wire::OP_QUERY_BATCH | wire::OP_SWEEP), _)) => {
+            let mut request = match wire::decode_request(payload, parsed_at) {
+                Ok(request) => request,
+                Err(e) => {
+                    let error = ServeError::malformed(format!("malformed request: {e}"));
+                    return wire::encode_error(&error);
                 }
-                Err(e) => wire::encode_error(&ServeError::malformed(format!(
-                    "malformed query batch: {e}"
-                ))),
+            };
+            // A request arriving untraced (legacy frame or trace id 0)
+            // still gets a server-assigned id, so every TCP request is
+            // followable through the pipeline.
+            if request.trace_id == 0 {
+                request.trace_id = obs.assign_trace_id();
+            }
+            obs.span(request.trace_id, "server.recv", recv_ns);
+            let t_dispatch = obs.start_ns(request.trace_id);
+            let outcome = broker.serve(&request);
+            obs.span(request.trace_id, "server.dispatch", t_dispatch);
+            match outcome {
+                Ok(Response::Answers(answers)) => wire::encode_answers(&answers),
+                // A window too jagged to fit one frame is the request's
+                // problem (narrow it), not a transport fault — reject
+                // before encoding, so frame_bytes never sees an over-cap
+                // payload.
+                Ok(Response::Runs(runs)) if runs.len() > wire::MAX_SWEEP_RUNS => {
+                    wire::encode_error(&ServeError::invalid_query(
+                        0,
+                        format!(
+                            "sweep produced {} runs, over the {}-run frame cap — narrow the window",
+                            runs.len(),
+                            wire::MAX_SWEEP_RUNS
+                        ),
+                    ))
+                }
+                Ok(Response::Runs(runs)) => wire::encode_runs(&runs),
+                Err(e) => wire::encode_error(&e),
             }
         }
         Some((&wire::OP_STATS, [])) => wire::encode_stats(&broker.stats()),
         Some((&wire::OP_STATS, _)) => {
             wire::encode_error(&ServeError::malformed("stats request carries no body"))
         }
-        Some((&wire::OP_SWEEP, body)) => match wire::decode_sweep_traced(&mut { body }) {
-            Ok((sweep, deadline_us, wire_trace)) => {
-                let trace_id = if wire_trace != 0 {
-                    wire_trace
-                } else {
-                    obs.assign_trace_id()
-                };
-                obs.span(trace_id, "server.recv", recv_ns);
-                let deadline = deadline_from(parsed_at, deadline_us);
-                let t_dispatch = obs.start_ns(trace_id);
-                let outcome = broker.query_sweep_traced("tcp", &sweep, deadline, trace_id);
-                obs.span(trace_id, "server.dispatch", t_dispatch);
-                match outcome {
-                    // A window too jagged to fit one frame is the
-                    // request's problem (narrow it), not a transport
-                    // fault — reject before encoding, so frame_bytes
-                    // never sees an over-cap payload.
-                    Ok(runs) if runs.len() > wire::MAX_SWEEP_RUNS => {
-                        wire::encode_error(&ServeError::invalid_query(
-                            0,
-                            format!(
-                                "sweep produced {} runs, over the {}-run frame cap — narrow the window",
-                                runs.len(),
-                                wire::MAX_SWEEP_RUNS
-                            ),
-                        ))
-                    }
-                    Ok(runs) => wire::encode_runs(&runs),
-                    Err(e) => wire::encode_error(&e),
-                }
-            }
-            Err(e) => wire::encode_error(&ServeError::malformed(format!("malformed sweep: {e}"))),
-        },
         Some((&wire::OP_METRICS, [])) => {
             let (text, spans) = broker.metrics_snapshot();
             wire::encode_metrics(&text, &spans)
@@ -675,107 +645,96 @@ impl Client {
             .ok_or_else(|| io::Error::other("connection slot empty after dial"))
     }
 
+    /// Sends one request and returns the server's response, retrying
+    /// transient failures. The request's deadline travels as the budget
+    /// left until it, measured once here and re-armed fresh on every
+    /// retry attempt; the server rejects (typed, retryable
+    /// `DeadlineExceeded`) any attempt it cannot answer in time rather
+    /// than blocking past it. A nonzero trace id rides the wire and
+    /// stamps every pipeline span the request crosses server-side, the
+    /// same id on every attempt, so one logical request is one trace;
+    /// `0` sends a legacy untraced frame (the server still assigns its
+    /// own id). The endpoint label is not sent. A response is believed
+    /// only if it answers every query of a batch, or its run
+    /// descriptors cover exactly the sweep's window; anything else is a
+    /// server fault, surfaced as `InvalidData`.
+    pub fn send(&mut self, request: &Request<'_>) -> io::Result<Response> {
+        let deadline_us = request.deadline.map_or(wire::NO_DEADLINE_US, |deadline| {
+            let left = deadline.saturating_duration_since(Instant::now());
+            u64::try_from(left.as_nanos().div_ceil(1000))
+                .unwrap_or(u64::MAX)
+                .max(1)
+        });
+        let bytes = wire::encode_request(&request.body, deadline_us, request.trace_id);
+        self.with_retry(|conn| {
+            let response = round_trip(conn, &bytes)?;
+            match &request.body {
+                RequestBody::Batch(queries) => {
+                    let answers = wire::decode_answers(&response)?;
+                    if answers.len() != queries.len() {
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            "answer count does not match query count",
+                        ));
+                    }
+                    Ok(Response::Answers(answers))
+                }
+                RequestBody::Sweep(sweep) => {
+                    let runs = wire::decode_runs(&response)?;
+                    let covered: u64 = runs.iter().map(|r| r.len.max(0) as u64).sum();
+                    if covered != u64::from(sweep.count) || runs.iter().any(|r| r.len < 1) {
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            "run descriptors do not cover the requested window",
+                        ));
+                    }
+                    Ok(Response::Runs(runs))
+                }
+            }
+        })
+    }
+
     /// Sends one batch of queries and returns the answers in input
-    /// order, retrying transient failures. Values cross the wire as
-    /// IEEE bit patterns, so what the broker computed is exactly what
-    /// this returns.
+    /// order: [`Client::send`] under a fresh trace id, with no
+    /// deadline. Values cross the wire as IEEE bit patterns, so what
+    /// the broker computed is exactly what this returns.
     pub fn query_batch(&mut self, queries: &[GuaranteeQuery]) -> io::Result<Vec<GuaranteeAnswer>> {
-        self.query_batch_within(queries, None)
+        let request = Request {
+            trace_id: self.draw_trace_id(),
+            ..Request::batch(queries)
+        };
+        Ok(self.send(&request)?.into_answers()?)
     }
 
-    /// [`Client::query_batch`] with a per-batch deadline budget. The
-    /// budget travels the wire as relative microseconds and is re-armed
-    /// fresh on every retry attempt; the server rejects (typed,
-    /// retryable `DeadlineExceeded`) any attempt it cannot answer in
-    /// time rather than blocking past it.
-    pub fn query_batch_within(
-        &mut self,
-        queries: &[GuaranteeQuery],
-        deadline: Option<Duration>,
-    ) -> io::Result<Vec<GuaranteeAnswer>> {
-        let trace_id = self.draw_trace_id();
-        self.query_batch_traced(queries, deadline, trace_id)
-    }
-
-    /// [`Client::query_batch_within`] under an explicit trace id. The
-    /// id rides the wire (op-1's optional trailing field) and stamps
-    /// every pipeline span the request crosses server-side; the same id
-    /// is reused across retry attempts, so one logical request is one
-    /// trace. `0` sends a legacy untraced frame (the server still
-    /// assigns its own id).
+    /// [`Client::send`] for a batch under an explicit trace id, with
+    /// `deadline` as the budget (re-armed on every retry attempt).
     pub fn query_batch_traced(
         &mut self,
         queries: &[GuaranteeQuery],
         deadline: Option<Duration>,
         trace_id: u64,
     ) -> io::Result<Vec<GuaranteeAnswer>> {
-        let deadline_us = deadline
-            .map(|d| (d.as_micros().min(u64::MAX as u128) as u64).max(1))
-            .unwrap_or(wire::NO_DEADLINE_US);
-        let request = wire::encode_query_batch_traced(queries, deadline_us, trace_id);
-        let want = queries.len();
-        self.with_retry(|conn| {
-            let response = round_trip(conn, &request)?;
-            let answers = wire::decode_answers(&response)?;
-            if answers.len() != want {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "answer count does not match query count",
-                ));
-            }
-            Ok(answers)
-        })
+        let request = Request {
+            deadline: deadline.and_then(|budget| Instant::now().checked_add(budget)),
+            trace_id,
+            ..Request::batch(queries)
+        };
+        Ok(self.send(&request)?.into_answers()?)
     }
 
-    /// Sends one streaming sweep (op 3) and returns the exact tick
-    /// staircase of the window, expanded client-side from the run
-    /// descriptors the server streamed
+    /// Sends one streaming sweep (op 3) under a fresh trace id and
+    /// returns the exact tick staircase of the window, expanded
+    /// client-side from the run descriptors the server streamed
     /// ([`cyclesteal_dp::expand_value_runs`]) — bit-identical to asking
     /// [`Client::query_batch`] for every tick of the window, at
     /// `O(runs)` wire bytes instead of `O(count)`.
     pub fn query_sweep(&mut self, sweep: &SweepQuery) -> io::Result<Vec<i64>> {
-        self.query_sweep_within(sweep, None)
-    }
-
-    /// [`Client::query_sweep`] with a per-request deadline budget
-    /// (same wire semantics as [`Client::query_batch_within`]).
-    pub fn query_sweep_within(
-        &mut self,
-        sweep: &SweepQuery,
-        deadline: Option<Duration>,
-    ) -> io::Result<Vec<i64>> {
-        let trace_id = self.draw_trace_id();
-        self.query_sweep_traced(sweep, deadline, trace_id)
-    }
-
-    /// [`Client::query_sweep_within`] under an explicit trace id (same
-    /// semantics as [`Client::query_batch_traced`], over op 3).
-    pub fn query_sweep_traced(
-        &mut self,
-        sweep: &SweepQuery,
-        deadline: Option<Duration>,
-        trace_id: u64,
-    ) -> io::Result<Vec<i64>> {
-        let deadline_us = deadline
-            .map(|d| (d.as_micros().min(u64::MAX as u128) as u64).max(1))
-            .unwrap_or(wire::NO_DEADLINE_US);
-        let request = wire::encode_sweep_traced(sweep, deadline_us, trace_id);
-        self.with_retry(|conn| {
-            let response = round_trip(conn, &request)?;
-            let runs = wire::decode_runs(&response)?;
-            // Expansion is only believed when the descriptors cover
-            // exactly the requested window: a CRC-valid but miscounted
-            // response is a server fault, surfaced as InvalidData
-            // rather than expanded into a wrong-length answer.
-            let covered: u64 = runs.iter().map(|r| r.len.max(0) as u64).sum();
-            if covered != u64::from(sweep.count) || runs.iter().any(|r| r.len < 1) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "run descriptors do not cover the requested window",
-                ));
-            }
-            Ok(cyclesteal_dp::expand_value_runs(&runs))
-        })
+        let request = Request {
+            trace_id: self.draw_trace_id(),
+            ..Request::sweep(*sweep)
+        };
+        let runs = self.send(&request)?.into_runs()?;
+        Ok(cyclesteal_dp::expand_value_runs(&runs))
     }
 
     /// Fetches the broker's per-endpoint, cache and resilience stats,
@@ -905,7 +864,7 @@ mod tests {
         assert_eq!(wire::decode_error(&resp[1..]).code, ErrorCode::Malformed);
 
         // An invalid query (negative setup) → typed error frame too.
-        let bad = wire::encode_query_batch(
+        let bad = wire::encode_query_batch_traced(
             &[GuaranteeQuery {
                 setup: secs(-1.0),
                 ticks_per_setup: 8,
@@ -913,6 +872,7 @@ mod tests {
                 lifespan: secs(10.0),
             }],
             wire::NO_DEADLINE_US,
+            0,
         );
         wire::write_frame(&mut writer, &bad).unwrap();
         let resp = wire::read_frame(&mut reader).unwrap().unwrap();
@@ -924,7 +884,7 @@ mod tests {
         // And the connection still answers a good batch afterwards.
         wire::write_frame(
             &mut writer,
-            &wire::encode_query_batch(&[query(1, 20.0)], wire::NO_DEADLINE_US),
+            &wire::encode_query_batch_traced(&[query(1, 20.0)], wire::NO_DEADLINE_US, 0),
         )
         .unwrap();
         let resp = wire::read_frame(&mut reader).unwrap().unwrap();
@@ -971,13 +931,123 @@ mod tests {
         .unwrap();
         // A 1 µs budget is spent before the broker even sees the batch.
         let err = client
-            .query_batch_within(&[query(1, 20.0)], Some(Duration::from_micros(1)))
+            .send(&Request {
+                deadline: Some(Instant::now() + Duration::from_micros(1)),
+                ..Request::batch(&[query(1, 20.0)])
+            })
             .unwrap_err();
         let typed = ServeError::from_io(&err).expect("typed error over the wire");
         assert_eq!(typed.code, ErrorCode::DeadlineExceeded);
         assert!(typed.retryable);
         assert!(broker.stats().resilience.deadline_rejects >= 1);
         server.shutdown();
+    }
+
+    /// A stand-in server that answers request frames with `replies`, in
+    /// order, across as many connections as the client dials, and
+    /// returns every request payload it read.
+    fn scripted_server(replies: Vec<Vec<u8>>) -> (SocketAddr, JoinHandle<Vec<Vec<u8>>>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let script = std::thread::spawn(move || {
+            let mut requests = Vec::new();
+            let mut replies = replies.into_iter().peekable();
+            while replies.peek().is_some() {
+                let (stream, _) = listener.accept().unwrap();
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let mut writer = BufWriter::new(stream);
+                while let Ok(Some(request)) = wire::read_frame(&mut reader) {
+                    requests.push(request);
+                    let Some(reply) = replies.next() else { break };
+                    wire::write_frame(&mut writer, &reply).unwrap();
+                }
+            }
+            requests
+        });
+        (addr, script)
+    }
+
+    fn client_retrying(addr: SocketAddr, max_retries: u32) -> Client {
+        let retry = RetryPolicy {
+            max_retries,
+            base_delay: Duration::from_millis(1),
+            ..RetryPolicy::default()
+        };
+        Client::connect_with(
+            addr,
+            ClientConfig {
+                retry,
+                ..ClientConfig::default()
+            },
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn send_re_arms_the_same_budget_and_trace_id_on_every_retry() {
+        let answer = GuaranteeAnswer {
+            value: secs(3.5),
+            value_ticks: 28,
+        };
+        let (addr, script) = scripted_server(vec![
+            wire::encode_error(&ServeError::overloaded(1, 1)),
+            wire::encode_answers(&[answer]),
+        ]);
+        let mut client = client_retrying(addr, 1);
+        let queries = [query(1, 20.0)];
+        let request = Request {
+            deadline: Some(Instant::now() + Duration::from_millis(250)),
+            trace_id: 7,
+            ..Request::batch(&queries)
+        };
+        let response = client.send(&request).unwrap();
+        assert_eq!(response, Response::Answers(vec![answer]));
+        drop(client);
+        // The typed retryable error was retried with the very same
+        // bytes: the same budget (not what was left of it) and trace.
+        let requests = script.join().unwrap();
+        assert_eq!(requests.len(), 2);
+        assert_eq!(requests[0], requests[1]);
+        let parsed_at = Instant::now();
+        let sent = wire::decode_request(&requests[0], parsed_at).unwrap();
+        assert_eq!(sent.trace_id, 7);
+        let budget = sent.deadline.unwrap() - parsed_at;
+        assert!(
+            budget > Duration::from_millis(200) && budget <= Duration::from_millis(250),
+            "budget {budget:?}"
+        );
+    }
+
+    #[test]
+    fn send_believes_only_replies_that_answer_the_whole_request() {
+        let answer = GuaranteeAnswer {
+            value: secs(1.0),
+            value_ticks: 8,
+        };
+        let short_run = cyclesteal_dp::ValueRun {
+            start: 0,
+            step: 1,
+            len: 9,
+        };
+        let (addr, script) = scripted_server(vec![
+            wire::encode_answers(&[answer, answer]),
+            wire::encode_runs(&[short_run]),
+        ]);
+        let mut client = client_retrying(addr, 0);
+        let sweep = SweepQuery {
+            setup: secs(1.0),
+            ticks_per_setup: 8,
+            interrupts: 2,
+            first_tick: 0,
+            count: 10,
+        };
+        for request in [Request::batch(&[query(1, 20.0)]), Request::sweep(sweep)] {
+            let err = client.send(&request).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(ServeError::from_io(&err).is_none(), "a transport fault");
+        }
+        drop(client);
+        assert_eq!(script.join().unwrap().len(), 2);
     }
 
     /// Waits (generously) until `counter` reaches `want`.
@@ -1031,19 +1101,21 @@ mod tests {
             wire::write_frame(&mut bytes, &payload).unwrap();
             bytes
         };
-        let batch = frame(wire::encode_query_batch(
+        let batch = frame(wire::encode_query_batch_traced(
             &[query(2, 60.0)],
             wire::NO_DEADLINE_US,
+            0,
         ));
-        let sweep = frame(wire::encode_sweep(
-            &SweepQuery {
+        let sweep = frame(wire::encode_request(
+            &RequestBody::Sweep(SweepQuery {
                 setup: secs(1.0),
                 ticks_per_setup: 8,
                 interrupts: 3,
                 first_tick: 0,
                 count: 200_000,
-            },
+            }),
             wire::NO_DEADLINE_US,
+            0,
         ));
         let mut stalled = Vec::new();
         for _ in 0..HALF_FRAMES {

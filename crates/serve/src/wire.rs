@@ -33,10 +33,16 @@
 //! op 4: (empty)
 //! ```
 //!
+//! Ops 1 and 3 are the two shapes of one [`Request`]: [`encode_request`]
+//! writes either from a [`RequestBody`], and [`decode_request`] reads
+//! either back into the `Request` the server hands to
+//! [`crate::Broker::serve`].
+//!
 //! The deadline travels as a *relative* budget (µs left), not a wall
-//! timestamp — the two hosts' clocks never need to agree. The server
-//! converts it to an absolute `Instant` the moment it decodes the
-//! request.
+//! timestamp — the two hosts' clocks never need to agree.
+//! [`crate::Client::send`] converts the request's deadline into the
+//! budget, and [`decode_request`] converts it back into an absolute
+//! `Instant`, counted from when the server parsed the frame.
 //!
 //! The **trace_id** is an optional trailing `u64` on op 1 and op 3: a
 //! nonzero client-generated request id the server threads through every
@@ -86,14 +92,17 @@
 //! *fix the request* without parsing prose (see [`crate::errors`]).
 
 use crate::broker::{
-    BrokerStats, EndpointStats, GuaranteeAnswer, GuaranteeQuery, ResilienceStats, SweepQuery,
+    BrokerStats, EndpointStats, GuaranteeAnswer, GuaranteeQuery, Request, RequestBody,
+    ResilienceStats, SweepQuery,
 };
 use crate::errors::{ErrorCode, ServeError};
 use cyclesteal_core::time::Time;
 use cyclesteal_dp::{CacheStats, ValueRun};
 use cyclesteal_obs::SpanRecord;
 use cyclesteal_store::crc::crc32;
+use std::borrow::Cow;
 use std::io::{self, Read, Write};
+use std::time::{Duration, Instant};
 
 /// Largest payload either side will accept (64 MiB ≈ 2.7M queries per
 /// batch — far past any sane batch, small enough to bound allocation).
@@ -308,135 +317,117 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Encodes a query-batch request payload. `deadline_us` is the
-/// remaining budget in microseconds ([`NO_DEADLINE_US`] for none).
-/// Emits the legacy (untraced) layout — identical to
-/// [`encode_query_batch_traced`] with trace id 0.
-pub fn encode_query_batch(queries: &[GuaranteeQuery], deadline_us: u64) -> Vec<u8> {
-    encode_query_batch_traced(queries, deadline_us, 0)
+/// Encodes a request payload: the body's op byte, `deadline_us` (the
+/// remaining budget in µs, [`NO_DEADLINE_US`] for none), the body, and
+/// the trace id. A zero `trace_id` omits the trailing field entirely,
+/// producing bytes identical to what a pre-tracing client sends.
+pub fn encode_request(body: &RequestBody<'_>, deadline_us: u64, trace_id: u64) -> Vec<u8> {
+    let (op, capacity) = match body {
+        RequestBody::Batch(queries) => (OP_QUERY_BATCH, 21 + queries.len() * 24),
+        RequestBody::Sweep(_) => (OP_SWEEP, 45),
+    };
+    let mut out = Vec::with_capacity(capacity);
+    out.push(op);
+    out.extend_from_slice(&deadline_us.to_le_bytes());
+    match body {
+        RequestBody::Batch(queries) => {
+            // lint:allow(lossy-cast): a batch whose count wraps u32 is a >96 GiB
+            // payload — write_frame's 64 MiB cap rejects it before it reaches
+            // the wire
+            out.extend_from_slice(&(queries.len() as u32).to_le_bytes());
+            for q in queries.iter() {
+                out.extend_from_slice(&q.setup.get().to_bits().to_le_bytes());
+                out.extend_from_slice(&q.ticks_per_setup.to_le_bytes());
+                out.extend_from_slice(&q.interrupts.to_le_bytes());
+                out.extend_from_slice(&q.lifespan.get().to_bits().to_le_bytes());
+            }
+        }
+        RequestBody::Sweep(sweep) => {
+            out.extend_from_slice(&sweep.setup.get().to_bits().to_le_bytes());
+            out.extend_from_slice(&sweep.ticks_per_setup.to_le_bytes());
+            out.extend_from_slice(&sweep.interrupts.to_le_bytes());
+            out.extend_from_slice(&sweep.first_tick.to_le_bytes());
+            out.extend_from_slice(&sweep.count.to_le_bytes());
+        }
+    }
+    if trace_id != 0 {
+        out.extend_from_slice(&trace_id.to_le_bytes());
+    }
+    out
 }
 
-/// Encodes a query-batch request payload carrying a trace id. A zero
-/// `trace_id` omits the trailing field entirely, producing bytes
-/// identical to what a pre-tracing client sends.
+/// [`encode_request`] for a batch of borrowed queries.
 pub fn encode_query_batch_traced(
     queries: &[GuaranteeQuery],
     deadline_us: u64,
     trace_id: u64,
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(21 + queries.len() * 24);
-    out.push(OP_QUERY_BATCH);
-    out.extend_from_slice(&deadline_us.to_le_bytes());
-    // lint:allow(lossy-cast): a batch whose count wraps u32 is a >96 GiB
-    // payload — write_frame's 64 MiB cap rejects it before it reaches
-    // the wire
-    out.extend_from_slice(&(queries.len() as u32).to_le_bytes());
-    for q in queries {
-        out.extend_from_slice(&q.setup.get().to_bits().to_le_bytes());
-        out.extend_from_slice(&q.ticks_per_setup.to_le_bytes());
-        out.extend_from_slice(&q.interrupts.to_le_bytes());
-        out.extend_from_slice(&q.lifespan.get().to_bits().to_le_bytes());
-    }
-    if trace_id != 0 {
-        out.extend_from_slice(&trace_id.to_le_bytes());
-    }
-    out
+    encode_request(
+        &RequestBody::Batch(Cow::Borrowed(queries)),
+        deadline_us,
+        trace_id,
+    )
 }
 
-/// Decodes a query-batch request payload (after the op byte was read):
-/// the queries plus the relative deadline budget in µs
-/// ([`NO_DEADLINE_US`] = none). Accepts both the legacy and the traced
-/// layout, discarding any trace id.
-pub fn decode_query_batch(r: &mut &[u8]) -> io::Result<(Vec<GuaranteeQuery>, u64)> {
-    decode_query_batch_traced(r).map(|(queries, deadline_us, _)| (queries, deadline_us))
-}
-
-/// Decodes a query-batch request payload, returning the trace id too:
-/// the optional trailing u64 (0 = untraced / legacy peer). Exactly two
-/// trailing lengths decode — 0 (legacy) and 8 (traced); anything else
-/// is a truncation or miscount error.
-pub fn decode_query_batch_traced(r: &mut &[u8]) -> io::Result<(Vec<GuaranteeQuery>, u64, u64)> {
-    let mut rd = Reader { buf: r, pos: 0 };
-    let deadline_us = rd.u64()?;
-    let count = rd.u32()? as usize;
-    // checked_mul: on 32-bit targets a hostile count could wrap the
-    // size check and reach a huge Vec::with_capacity below.
-    let body = count
-        .checked_mul(24)
-        .ok_or_else(|| invalid("query count does not match payload size"))?;
-    let traced = match (rd.buf.len() - rd.pos).checked_sub(body) {
-        Some(0) => false,
-        Some(8) => true,
-        _ => return Err(invalid("query count does not match payload size")),
+/// Decodes an op-1 or op-3 request payload (op byte included) into the
+/// [`Request`] it carries, counted under the `"tcp"` endpoint. The
+/// relative deadline budget becomes an absolute deadline counted from
+/// `parsed_at`, when the server parsed the frame, so time spent before
+/// the broker call is spent budget; an absurd (hostile) budget that
+/// overflows `Instant` degrades to "none" instead of panicking. Exactly
+/// two trailing lengths decode: 0 (legacy, trace id 0) and 8 (traced);
+/// anything else is a truncation or miscount error.
+pub fn decode_request(payload: &[u8], parsed_at: Instant) -> io::Result<Request<'static>> {
+    let mut rd = Reader {
+        buf: payload,
+        pos: 0,
     };
-    let mut queries = Vec::with_capacity(count);
-    for _ in 0..count {
-        queries.push(GuaranteeQuery {
+    let op = rd.u8()?;
+    let deadline_us = rd.u64()?;
+    let body = match op {
+        OP_QUERY_BATCH => {
+            let count = rd.u32()? as usize;
+            // checked_mul: on 32-bit targets a hostile count could wrap
+            // the size check and reach a huge Vec::with_capacity below.
+            let room = rd.buf.len() - rd.pos;
+            if count.checked_mul(24).filter(|&body| body <= room).is_none() {
+                return Err(invalid("query count does not match payload size"));
+            }
+            let mut queries = Vec::with_capacity(count);
+            for _ in 0..count {
+                queries.push(GuaranteeQuery {
+                    setup: finite_time(rd.u64()?)?,
+                    ticks_per_setup: rd.u32()?,
+                    interrupts: rd.u32()?,
+                    lifespan: finite_time(rd.u64()?)?,
+                });
+            }
+            RequestBody::Batch(Cow::Owned(queries))
+        }
+        OP_SWEEP => RequestBody::Sweep(SweepQuery {
             setup: finite_time(rd.u64()?)?,
             ticks_per_setup: rd.u32()?,
             interrupts: rd.u32()?,
-            lifespan: finite_time(rd.u64()?)?,
-        });
-    }
-    let trace_id = if traced { rd.u64()? } else { 0 };
-    rd.done()?;
-    Ok((queries, deadline_us, trace_id))
-}
-
-/// Encodes a streaming-sweep request payload. `deadline_us` is the
-/// remaining budget in microseconds ([`NO_DEADLINE_US`] for none).
-/// Emits the legacy (untraced) layout — identical to
-/// [`encode_sweep_traced`] with trace id 0.
-pub fn encode_sweep(sweep: &SweepQuery, deadline_us: u64) -> Vec<u8> {
-    encode_sweep_traced(sweep, deadline_us, 0)
-}
-
-/// Encodes a streaming-sweep request payload carrying a trace id. A
-/// zero `trace_id` omits the trailing field entirely, producing bytes
-/// identical to what a pre-tracing client sends.
-pub fn encode_sweep_traced(sweep: &SweepQuery, deadline_us: u64, trace_id: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(45);
-    out.push(OP_SWEEP);
-    out.extend_from_slice(&deadline_us.to_le_bytes());
-    out.extend_from_slice(&sweep.setup.get().to_bits().to_le_bytes());
-    out.extend_from_slice(&sweep.ticks_per_setup.to_le_bytes());
-    out.extend_from_slice(&sweep.interrupts.to_le_bytes());
-    out.extend_from_slice(&sweep.first_tick.to_le_bytes());
-    out.extend_from_slice(&sweep.count.to_le_bytes());
-    if trace_id != 0 {
-        out.extend_from_slice(&trace_id.to_le_bytes());
-    }
-    out
-}
-
-/// Decodes a streaming-sweep request payload (after the op byte was
-/// read): the sweep plus the relative deadline budget in µs
-/// ([`NO_DEADLINE_US`] = none). Accepts both the legacy and the traced
-/// layout, discarding any trace id.
-pub fn decode_sweep(r: &mut &[u8]) -> io::Result<(SweepQuery, u64)> {
-    decode_sweep_traced(r).map(|(sweep, deadline_us, _)| (sweep, deadline_us))
-}
-
-/// Decodes a streaming-sweep request payload, returning the trace id
-/// too: the optional trailing u64 (0 = untraced / legacy peer). Exactly
-/// two trailing lengths decode — 0 (legacy) and 8 (traced).
-pub fn decode_sweep_traced(r: &mut &[u8]) -> io::Result<(SweepQuery, u64, u64)> {
-    let mut rd = Reader { buf: r, pos: 0 };
-    let deadline_us = rd.u64()?;
-    let sweep = SweepQuery {
-        setup: finite_time(rd.u64()?)?,
-        ticks_per_setup: rd.u32()?,
-        interrupts: rd.u32()?,
-        first_tick: rd.i64()?,
-        count: rd.u32()?,
+            first_tick: rd.i64()?,
+            count: rd.u32()?,
+        }),
+        _ => return Err(invalid("not a query request")),
     };
     let trace_id = match rd.buf.len() - rd.pos {
         0 => 0,
         8 => rd.u64()?,
         _ => return Err(invalid("trailing bytes in payload")),
     };
-    rd.done()?;
-    Ok((sweep, deadline_us, trace_id))
+    let deadline = match deadline_us {
+        NO_DEADLINE_US => None,
+        us => parsed_at.checked_add(Duration::from_micros(us)),
+    };
+    Ok(Request {
+        body,
+        endpoint: "tcp",
+        deadline,
+        trace_id,
+    })
 }
 
 /// Encodes a successful streaming-sweep response payload: the run
@@ -484,7 +475,7 @@ pub fn encode_answers(answers: &[GuaranteeAnswer]) -> Vec<u8> {
     let mut out = Vec::with_capacity(5 + answers.len() * 16);
     out.push(STATUS_OK);
     // lint:allow(lossy-cast): answers mirror a decoded batch whose count
-    // already fit u32 (decode_query_batch checked it against the frame)
+    // already fit u32 (decode_request checked it against the frame)
     out.extend_from_slice(&(answers.len() as u32).to_le_bytes());
     for a in answers {
         out.extend_from_slice(&a.value.get().to_bits().to_le_bytes());
@@ -845,11 +836,18 @@ mod tests {
                 lifespan: secs(0.0),
             },
         ];
-        let payload = encode_query_batch(&queries, 250_000);
+        let parsed_at = Instant::now();
+        let payload = encode_query_batch_traced(&queries, 250_000, 0);
         assert_eq!(payload[0], OP_QUERY_BATCH);
-        let (decoded, deadline_us) = decode_query_batch(&mut &payload[1..]).unwrap();
-        assert_eq!(deadline_us, 250_000);
-        for (a, b) in queries.iter().zip(&decoded) {
+        let request = decode_request(&payload, parsed_at).unwrap();
+        assert_eq!(
+            request.deadline,
+            Some(parsed_at + Duration::from_micros(250_000))
+        );
+        let RequestBody::Batch(decoded) = request.body else {
+            panic!("op 1 decodes to a batch")
+        };
+        for (a, b) in queries.iter().zip(decoded.iter()) {
             assert_eq!(a.setup.get().to_bits(), b.setup.get().to_bits());
             assert_eq!(a.lifespan.get().to_bits(), b.lifespan.get().to_bits());
             assert_eq!(
@@ -858,15 +856,15 @@ mod tests {
             );
         }
         // No deadline travels as the zero sentinel.
-        let payload = encode_query_batch(&queries, NO_DEADLINE_US);
-        assert_eq!(decode_query_batch(&mut &payload[1..]).unwrap().1, 0);
+        let payload = encode_query_batch_traced(&queries, NO_DEADLINE_US, 0);
+        assert_eq!(decode_request(&payload, parsed_at).unwrap().deadline, None);
         // A count/size mismatch is an error.
-        assert!(decode_query_batch(&mut &payload[1..payload.len() - 1]).is_err());
+        assert!(decode_request(&payload[..payload.len() - 1], parsed_at).is_err());
     }
 
     #[test]
     fn non_finite_wire_times_error_instead_of_panicking() {
-        let mut payload = encode_query_batch(
+        let mut payload = encode_query_batch_traced(
             &[GuaranteeQuery {
                 setup: secs(1.0),
                 ticks_per_setup: 8,
@@ -874,10 +872,79 @@ mod tests {
                 lifespan: secs(10.0),
             }],
             NO_DEADLINE_US,
+            0,
         );
         // Overwrite the setup bits (after op + deadline + count) with NaN.
         payload[13..21].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
-        assert!(decode_query_batch(&mut &payload[1..]).is_err());
+        assert!(decode_request(&payload, Instant::now()).is_err());
+    }
+
+    /// The request the golden bytes below carry: one query at
+    /// `(c, Q, p, L) = (1, 8, 2, 100)`, or the sweep of ticks
+    /// `37 .. 537` of that row, with a 250 ms budget.
+    fn golden_body(op: u8) -> RequestBody<'static> {
+        match op {
+            OP_QUERY_BATCH => RequestBody::Batch(Cow::Owned(vec![GuaranteeQuery {
+                setup: secs(1.0),
+                ticks_per_setup: 8,
+                interrupts: 2,
+                lifespan: secs(100.0),
+            }])),
+            _ => RequestBody::Sweep(SweepQuery {
+                setup: secs(1.0),
+                ticks_per_setup: 8,
+                interrupts: 2,
+                first_tick: 37,
+                count: 500,
+            }),
+        }
+    }
+
+    #[test]
+    fn requests_encode_to_pinned_golden_bytes_and_decode_back() {
+        #[rustfmt::skip]
+        let batch: &[u8] = &[
+            0x01, // op 1
+            0x90, 0xD0, 0x03, 0, 0, 0, 0, 0, // deadline_us 250 000
+            0x01, 0, 0, 0, // count 1
+            0, 0, 0, 0, 0, 0, 0xF0, 0x3F, // setup 1.0
+            0x08, 0, 0, 0, // ticks_per_setup 8
+            0x02, 0, 0, 0, // interrupts 2
+            0, 0, 0, 0, 0, 0, 0x59, 0x40, // lifespan 100.0
+        ];
+        #[rustfmt::skip]
+        let sweep: &[u8] = &[
+            0x03, // op 3
+            0x90, 0xD0, 0x03, 0, 0, 0, 0, 0, // deadline_us 250 000
+            0, 0, 0, 0, 0, 0, 0xF0, 0x3F, // setup 1.0
+            0x08, 0, 0, 0, // ticks_per_setup 8
+            0x02, 0, 0, 0, // interrupts 2
+            0x25, 0, 0, 0, 0, 0, 0, 0, // first_tick 37
+            0xF4, 0x01, 0, 0, // count 500
+        ];
+        let trace: [u8; 8] = [0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01];
+        let parsed_at = Instant::now();
+        for legacy in [batch, sweep] {
+            let body = golden_body(legacy[0]);
+            let traced = [legacy, &trace[..]].concat();
+            for (bytes, trace_id) in [(legacy.to_vec(), 0), (traced, 0x0102_0304_0506_0708)] {
+                assert_eq!(encode_request(&body, 250_000, trace_id), bytes);
+                let want = Request {
+                    body: body.clone(),
+                    endpoint: "tcp",
+                    deadline: Some(parsed_at + Duration::from_micros(250_000)),
+                    trace_id,
+                };
+                assert_eq!(decode_request(&bytes, parsed_at).unwrap(), want);
+            }
+            // Exactly 0 or 8 trailing bytes decode; any other count errors.
+            for extra in (1..=16).filter(|&n| n != 8) {
+                let long = [legacy, &vec![0u8; extra][..]].concat();
+                assert!(decode_request(&long, parsed_at).is_err(), "{extra} extra");
+            }
+        }
+        // Only ops 1 and 3 are requests.
+        assert!(decode_request(&[OP_STATS], parsed_at).is_err());
     }
 
     #[test]
@@ -908,10 +975,17 @@ mod tests {
             first_tick: 123_456_789,
             count: 1_000_000,
         };
-        let payload = encode_sweep(&sweep, 250_000);
+        let parsed_at = Instant::now();
+        let payload = encode_request(&RequestBody::Sweep(sweep), 250_000, 0);
         assert_eq!(payload[0], OP_SWEEP);
-        let (decoded, deadline_us) = decode_sweep(&mut &payload[1..]).unwrap();
-        assert_eq!(deadline_us, 250_000);
+        let request = decode_request(&payload, parsed_at).unwrap();
+        assert_eq!(
+            request.deadline,
+            Some(parsed_at + Duration::from_micros(250_000))
+        );
+        let RequestBody::Sweep(decoded) = request.body else {
+            panic!("op 3 decodes to a sweep")
+        };
         assert_eq!(decoded.setup.get().to_bits(), sweep.setup.get().to_bits());
         assert_eq!(
             (decoded.ticks_per_setup, decoded.interrupts),
@@ -922,11 +996,11 @@ mod tests {
             (123_456_789, 1_000_000)
         );
         // A truncated request is an error, not a short read.
-        assert!(decode_sweep(&mut &payload[1..payload.len() - 1]).is_err());
+        assert!(decode_request(&payload[..payload.len() - 1], parsed_at).is_err());
         // NaN setup bits are rejected before Time construction.
         let mut bad = payload.clone();
         bad[9..17].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
-        assert!(decode_sweep(&mut &bad[1..]).is_err());
+        assert!(decode_request(&bad, parsed_at).is_err());
 
         let runs = vec![
             ValueRun {
@@ -1019,38 +1093,27 @@ mod tests {
         );
     }
 
-    #[test]
-    fn trace_ids_ride_query_batches_version_tolerantly() {
-        let queries = vec![GuaranteeQuery {
-            setup: secs(1.5),
-            ticks_per_setup: 32,
-            interrupts: 7,
-            lifespan: secs(1234.5678),
-        }];
+    /// A nonzero trace id adds exactly the trailing 8 bytes to the
+    /// legacy layout, and truncation at every cut errors except at the
+    /// exact legacy boundary, which decodes untraced — in particular all
+    /// seven cuts inside the trailing trace field error.
+    fn assert_traces_ride_version_tolerantly(body: &RequestBody<'_>) {
+        let now = Instant::now();
         // Trace 0 emits byte-for-byte the legacy layout: an old server
         // sees exactly what an old client would have sent.
-        let legacy = encode_query_batch(&queries, 250_000);
-        assert_eq!(legacy, encode_query_batch_traced(&queries, 250_000, 0));
-        // A nonzero trace adds exactly the trailing 8 bytes.
-        let traced = encode_query_batch_traced(&queries, 250_000, 0xDEAD_BEEF_CAFE_F00D);
+        let legacy = encode_request(body, 250_000, 0);
+        let traced = encode_request(body, 250_000, 0xDEAD_BEEF_CAFE_F00D);
         assert_eq!(traced.len(), legacy.len() + 8);
         assert_eq!(&traced[..legacy.len()], &legacy[..]);
-        let (decoded, deadline_us, trace_id) =
-            decode_query_batch_traced(&mut &traced[1..]).unwrap();
-        assert_eq!((deadline_us, trace_id), (250_000, 0xDEAD_BEEF_CAFE_F00D));
-        assert_eq!(decoded.len(), 1);
-        // A new server decodes a legacy payload as untraced (id 0), and
-        // the legacy-signature decoder tolerates a traced payload.
-        assert_eq!(decode_query_batch_traced(&mut &legacy[1..]).unwrap().2, 0);
-        assert!(decode_query_batch(&mut &traced[1..]).is_ok());
-        // Truncation at every cut: only the exact legacy boundary
-        // decodes (as untraced) — every other cut is an error, in
-        // particular all seven cuts inside the trailing trace field.
+        let request = decode_request(&traced, now).unwrap();
+        assert_eq!(request.trace_id, 0xDEAD_BEEF_CAFE_F00D);
+        assert_eq!(&request.body, body);
+        // A new server decodes a legacy payload as untraced (id 0).
+        assert_eq!(decode_request(&legacy, now).unwrap().trace_id, 0);
         for cut in 1..traced.len() {
-            let slice = &traced[1..cut];
-            let got = decode_query_batch_traced(&mut &slice[..]);
+            let got = decode_request(&traced[..cut], now);
             if cut == legacy.len() {
-                assert_eq!(got.unwrap().2, 0, "legacy boundary decodes untraced");
+                assert_eq!(got.unwrap().trace_id, 0, "legacy boundary decodes untraced");
             } else {
                 assert!(got.is_err(), "cut at {cut} must error");
             }
@@ -1058,36 +1121,25 @@ mod tests {
     }
 
     #[test]
+    fn trace_ids_ride_query_batches_version_tolerantly() {
+        let queries = [GuaranteeQuery {
+            setup: secs(1.5),
+            ticks_per_setup: 32,
+            interrupts: 7,
+            lifespan: secs(1234.5678),
+        }];
+        assert_traces_ride_version_tolerantly(&RequestBody::Batch(Cow::Borrowed(&queries)));
+    }
+
+    #[test]
     fn trace_ids_ride_sweeps_version_tolerantly() {
-        let sweep = SweepQuery {
+        assert_traces_ride_version_tolerantly(&RequestBody::Sweep(SweepQuery {
             setup: secs(1.5),
             ticks_per_setup: 32,
             interrupts: 7,
             first_tick: 123_456_789,
             count: 1_000_000,
-        };
-        let legacy = encode_sweep(&sweep, 250_000);
-        assert_eq!(legacy, encode_sweep_traced(&sweep, 250_000, 0));
-        let traced = encode_sweep_traced(&sweep, 250_000, 99);
-        assert_eq!(traced.len(), legacy.len() + 8);
-        assert_eq!(&traced[..legacy.len()], &legacy[..]);
-        let (decoded, deadline_us, trace_id) = decode_sweep_traced(&mut &traced[1..]).unwrap();
-        assert_eq!((deadline_us, trace_id), (250_000, 99));
-        assert_eq!(
-            (decoded.first_tick, decoded.count),
-            (123_456_789, 1_000_000)
-        );
-        assert_eq!(decode_sweep_traced(&mut &legacy[1..]).unwrap().2, 0);
-        assert!(decode_sweep(&mut &traced[1..]).is_ok());
-        for cut in 1..traced.len() {
-            let slice = &traced[1..cut];
-            let got = decode_sweep_traced(&mut &slice[..]);
-            if cut == legacy.len() {
-                assert_eq!(got.unwrap().2, 0, "legacy boundary decodes untraced");
-            } else {
-                assert!(got.is_err(), "cut at {cut} must error");
-            }
-        }
+        }));
     }
 
     #[test]

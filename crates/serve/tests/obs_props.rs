@@ -26,7 +26,9 @@
 use cyclesteal_core::time::secs;
 use cyclesteal_obs::{parse_exposition, LogicalClock, Sample};
 use cyclesteal_serve::broker::MAX_TENANT_SERIES;
-use cyclesteal_serve::{Broker, BrokerConfig, Client, GuaranteeQuery, ObsHub, Server, SweepQuery};
+use cyclesteal_serve::{
+    Broker, BrokerConfig, Client, GuaranteeQuery, ObsHub, Request, Server, SweepQuery,
+};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -81,23 +83,25 @@ fn trace_ids_stamp_every_pipeline_stage_on_a_cold_solve() {
     // the request must cross admission, a fairness lane and a solve.
     let batch_trace = 0xB10C_5EED_u64;
     client
-        .query_batch_traced(&[query(2, 80.0)], None, batch_trace)
+        .send(&Request {
+            trace_id: batch_trace,
+            ..Request::batch(&[query(2, 80.0)])
+        })
         .unwrap();
     // And a sweep under a different id, against a different grid so it
     // also runs cold.
     let sweep_trace = 0x051E_E7ED_u64;
     client
-        .query_sweep_traced(
-            &SweepQuery {
+        .send(&Request {
+            trace_id: sweep_trace,
+            ..Request::sweep(SweepQuery {
                 setup: secs(2.0),
                 ticks_per_setup: 4,
                 interrupts: 2,
                 first_tick: 1,
                 count: 64,
-            },
-            None,
-            sweep_trace,
-        )
+            })
+        })
         .unwrap();
 
     let (_text, spans) = client.fetch_metrics().unwrap();
@@ -403,7 +407,12 @@ fn profiling_and_tracing_leave_answers_bit_identical() {
         .collect();
     let want = plain.query_batch(&queries).unwrap();
     let got = instrumented
-        .query_batch_traced("inproc", &queries, None, 0x0B5E_7E57)
+        .serve(&Request {
+            trace_id: 0x0B5E_7E57,
+            ..Request::batch(&queries)
+        })
+        .unwrap()
+        .into_answers()
         .unwrap();
     for (g, w) in got.iter().zip(&want) {
         assert_eq!(g.value.get().to_bits(), w.value.get().to_bits());

@@ -23,13 +23,13 @@ use cyclesteal_core::time::{secs, Time};
 use cyclesteal_dp::{CompressedTable, SolveConfig, TableCache};
 use cyclesteal_serve::{
     wire, Broker, BrokerConfig, Client, ClientConfig, ErrorCode, FaultPlan, GuaranteeAnswer,
-    GuaranteeQuery, RetryPolicy, ServeError, Server, ServerConfig, SweepQuery,
+    GuaranteeQuery, Request, RetryPolicy, ServeError, Server, ServerConfig, SweepQuery,
 };
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Serializes tests in this binary: the fault registry is process-wide.
 fn chaos_lock() -> MutexGuard<'static, ()> {
@@ -54,6 +54,26 @@ impl Drop for QuietPanics {
     fn drop(&mut self) {
         let _ = std::panic::take_hook();
     }
+}
+
+/// `request` with its deadline `budget` from now; the client re-arms
+/// that budget on every retry attempt.
+fn within(request: Request<'_>, budget: Duration) -> Request<'_> {
+    Request {
+        deadline: Some(Instant::now() + budget),
+        ..request
+    }
+}
+
+/// Sends a batch under a `budget` deadline and returns its answers.
+fn batch_within(
+    client: &mut Client,
+    queries: &[GuaranteeQuery],
+    budget: Duration,
+) -> io::Result<Vec<GuaranteeAnswer>> {
+    Ok(client
+        .send(&within(Request::batch(queries), budget))?
+        .into_answers()?)
 }
 
 fn q(setup: f64, ticks: u32, p: u32, lifespan: f64) -> GuaranteeQuery {
@@ -210,8 +230,8 @@ fn every_query_answers_bit_identically_or_fails_retryably_across_64_plans() {
         let mut client = chaos_client(server.local_addr(), seed, 5);
 
         for (i, (query, expect)) in queries.iter().zip(&want).enumerate() {
-            let budget = Some(Duration::from_millis(400));
-            match client.query_batch_within(std::slice::from_ref(query), budget) {
+            let budget = Duration::from_millis(400);
+            match batch_within(&mut client, std::slice::from_ref(query), budget) {
                 Ok(answers) => {
                     assert_eq!(answers.len(), 1, "seed {seed} query {i}: answer count");
                     assert_bit_identical(&answers[0], expect, &format!("seed {seed} query {i}"));
@@ -302,10 +322,10 @@ fn sixty_four_concurrent_clients_survive_fault_plans_on_the_readiness_loop() {
                 let (exact, failed, violations) = (&exact, &failed, &violations);
                 scope.spawn(move || {
                     let mut client = chaos_client(addr, seed * 1000 + c as u64, 3);
-                    let budget = Some(Duration::from_millis(400));
+                    let budget = Duration::from_millis(400);
                     barrier.wait();
                     for (i, (query, expect)) in queries.iter().zip(want.iter()).enumerate() {
-                        match client.query_batch_within(std::slice::from_ref(query), budget) {
+                        match batch_within(&mut client, std::slice::from_ref(query), budget) {
                             Ok(answers)
                                 if answers.len() == 1
                                     && answers[0].value.get().to_bits()
@@ -344,7 +364,13 @@ fn sixty_four_concurrent_clients_survive_fault_plans_on_the_readiness_loop() {
                         first_tick: (c as i64) % 40,
                         count: 64,
                     };
-                    match client.query_sweep_within(&sweep, budget) {
+                    let expanded = client
+                        .send(&within(Request::sweep(sweep), budget))
+                        .map(|r| {
+                            let runs = r.into_runs().expect("a sweep is answered with runs");
+                            cyclesteal_dp::expand_value_runs(&runs)
+                        });
+                    match expanded {
                         Ok(values) => {
                             let ok = values.len() == 64
                                 && values.iter().enumerate().all(|(j, &v)| {
@@ -592,9 +618,7 @@ fn wire_deadlines_reject_early_then_converge_from_cache() {
     let mut client = chaos_client(server.local_addr(), 0, 0);
 
     let query = q(1.0, 8, 2, 90.0);
-    let err = client
-        .query_batch_within(&[query], Some(Duration::from_micros(1)))
-        .unwrap_err();
+    let err = batch_within(&mut client, &[query], Duration::from_micros(1)).unwrap_err();
     let se = ServeError::from_io(&err).expect("typed deadline frame");
     assert_eq!(se.code, ErrorCode::DeadlineExceeded);
     assert!(se.retryable);
@@ -607,8 +631,7 @@ fn wire_deadlines_reject_early_then_converge_from_cache() {
     let got = client.query_batch(&[query]).unwrap();
     assert_bit_identical(&got[0], &want[0], "unbounded attempt");
     // …after which even a tight budget is met from cache.
-    let got = client
-        .query_batch_within(&[query], Some(Duration::from_millis(250)))
+    let got = batch_within(&mut client, &[query], Duration::from_millis(250))
         .expect("cache hit inside the budget");
     assert_bit_identical(&got[0], &want[0], "budgeted cache hit");
     server.shutdown();
@@ -633,9 +656,7 @@ fn wire_deadlines_count_time_spent_before_the_handler() {
     .install();
 
     let query = q(1.0, 8, 2, 45.0);
-    let err = client
-        .query_batch_within(&[query], Some(Duration::from_millis(10)))
-        .unwrap_err();
+    let err = batch_within(&mut client, &[query], Duration::from_millis(10)).unwrap_err();
     let se = ServeError::from_io(&err).expect("typed deadline frame");
     assert_eq!(se.code, ErrorCode::DeadlineExceeded);
     assert!(se.retryable);

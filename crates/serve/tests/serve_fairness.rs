@@ -16,7 +16,9 @@
 //! * B's answers under load are bit-identical to B's answers solo.
 
 use cyclesteal_core::time::secs;
-use cyclesteal_serve::{Broker, BrokerConfig, EndpointStats, GuaranteeAnswer, GuaranteeQuery};
+use cyclesteal_serve::{
+    Broker, BrokerConfig, EndpointStats, GuaranteeAnswer, GuaranteeQuery, Request, ServeError,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -55,6 +57,20 @@ fn warm_queries() -> Vec<GuaranteeQuery> {
         .collect()
 }
 
+/// `queries` served as a batch counted under `endpoint`.
+fn batch_at(
+    broker: &Broker,
+    endpoint: &'static str,
+    queries: &[GuaranteeQuery],
+) -> Result<Vec<GuaranteeAnswer>, ServeError> {
+    broker
+        .serve(&Request {
+            endpoint,
+            ..Request::batch(queries)
+        })?
+        .into_answers()
+}
+
 fn endpoint<'a>(stats: &'a [EndpointStats], name: &str) -> &'a EndpointStats {
     stats
         .iter()
@@ -71,7 +87,7 @@ fn a_cold_tenant_cannot_blow_up_a_warm_tenants_p99() {
     let reference: Vec<GuaranteeAnswer> = broker.query_batch(&queries).unwrap();
     let solo_batches = 300;
     for _ in 0..solo_batches {
-        let answers = broker.query_batch_at("b_solo", &queries).unwrap();
+        let answers = batch_at(&broker, "b_solo", &queries).unwrap();
         assert_eq!(answers, reference, "warm answers drifted solo");
     }
     let solo_p99 = endpoint(&broker.stats().endpoints, "b_solo").p99_us;
@@ -82,7 +98,7 @@ fn a_cold_tenant_cannot_blow_up_a_warm_tenants_p99() {
         let broker = broker.clone();
         let a_done = a_done.clone();
         std::thread::spawn(move || {
-            let result = broker.query_batch_at("a_cold", &[deep_query()]);
+            let result = batch_at(&broker, "a_cold", &[deep_query()]);
             a_done.store(true, Ordering::SeqCst);
             result
         })
@@ -92,7 +108,7 @@ fn a_cold_tenant_cannot_blow_up_a_warm_tenants_p99() {
     // has data and a ceiling so a stuck solve fails fast instead of
     // spinning forever.
     while load_batches < 200 || (!a_done.load(Ordering::SeqCst) && load_batches < 500_000) {
-        let answers = broker.query_batch_at("b_load", &queries).unwrap();
+        let answers = batch_at(&broker, "b_load", &queries).unwrap();
         assert_eq!(answers, reference, "warm answers drifted under load");
         load_batches += 1;
     }

@@ -22,7 +22,7 @@
 
 use cyclesteal_core::time::secs;
 use cyclesteal_dp::{expand_value_runs, CompressedTable, Grid};
-use cyclesteal_serve::{wire, Broker, BrokerConfig, GuaranteeQuery, SweepQuery};
+use cyclesteal_serve::{wire, Broker, BrokerConfig, GuaranteeQuery, Request, SweepQuery};
 use proptest::prelude::*;
 
 fn solve(q: u32, max_u: f64, p: u32) -> CompressedTable {
@@ -126,7 +126,8 @@ proptest! {
             first_tick: first,
             count: u32::try_from(count).unwrap(),
         };
-        let expanded = expand_value_runs(&broker.query_sweep(&sweep).unwrap());
+        let runs = broker.serve(&Request::sweep(sweep)).unwrap().into_runs().unwrap();
+        let expanded = expand_value_runs(&runs);
         let queries: Vec<GuaranteeQuery> = (0..count)
             .map(|j| GuaranteeQuery {
                 setup: secs(1.0),

@@ -24,7 +24,8 @@
 use cyclesteal_core::time::secs;
 use cyclesteal_obs::{parse_exposition, Sample, SpanRecord};
 use cyclesteal_serve::{
-    Broker, BrokerConfig, Client, ClientConfig, GuaranteeQuery, RetryPolicy, Server, SweepQuery,
+    Broker, BrokerConfig, Client, ClientConfig, GuaranteeQuery, Request, RetryPolicy, Server,
+    SweepQuery,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -67,7 +68,10 @@ fn drive_traffic(addr: std::net::SocketAddr) {
                     // smoke mode follows through the pipeline.
                     if t == 0 && round == 2 {
                         client
-                            .query_batch_traced(&queries, None, SMOKE_TRACE)
+                            .send(&Request {
+                                trace_id: SMOKE_TRACE,
+                                ..Request::batch(&queries)
+                            })
                             .unwrap();
                     } else {
                         client.query_batch(&queries).unwrap();
