@@ -98,11 +98,38 @@ struct Entry {
     last_used: u64,
 }
 
-type ShardMap = BTreeMap<TableKey, Entry>;
+/// One shard's entries plus the bytes their tables hold. Every insert,
+/// replace and removal goes through the methods below, which keep
+/// `bytes` in step; tables are immutable, so the count is exact and the
+/// budget check never re-sums the entries.
+#[derive(Default)]
+struct ShardMap {
+    entries: BTreeMap<TableKey, Entry>,
+    /// `memory_bytes()` summed over every table in `entries`.
+    bytes: usize,
+}
 
-/// Bytes held by every table in one shard's map.
-fn map_bytes(map: &ShardMap) -> usize {
-    map.values().map(|e| e.table.memory_bytes()).sum()
+impl ShardMap {
+    /// Inserts `entry` under `key`, replacing any entry already there.
+    fn insert(&mut self, key: TableKey, entry: Entry) {
+        self.bytes += entry.table.memory_bytes();
+        if let Some(old) = self.entries.insert(key, entry) {
+            self.bytes -= old.table.memory_bytes();
+        }
+    }
+
+    /// Removes and returns the entry under `key`.
+    fn remove(&mut self, key: &TableKey) -> Option<Entry> {
+        let entry = self.entries.remove(key)?;
+        self.bytes -= entry.table.memory_bytes();
+        Some(entry)
+    }
+
+    /// Drops every entry.
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.bytes = 0;
+    }
 }
 
 /// One solve request for [`TableCache::solve_many`].
@@ -158,7 +185,7 @@ struct Shard {
 impl Shard {
     fn new() -> Shard {
         Shard {
-            map: Mutex::new(BTreeMap::new()),
+            map: Mutex::new(ShardMap::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -539,7 +566,7 @@ impl TableCache {
         let mut tables: Vec<(TableKey, Arc<CompressedTable>)> = Vec::new();
         for shard in &self.shards {
             let map = shard.map.lock();
-            tables.extend(map.iter().map(|(k, e)| (*k, e.table.clone())));
+            tables.extend(map.entries.iter().map(|(k, e)| (*k, e.table.clone())));
         }
         tables.sort_by_key(|(k, _)| *k);
         tables.into_iter().map(|(_, t)| t).collect()
@@ -577,8 +604,8 @@ impl TableCache {
                     hits: shard.hits.load(Ordering::Relaxed),
                     misses: shard.misses.load(Ordering::Relaxed),
                     evictions: shard.evictions.load(Ordering::Relaxed),
-                    compressed_entries: map.len(),
-                    resident_bytes: map_bytes(&map),
+                    compressed_entries: map.entries.len(),
+                    resident_bytes: map.bytes,
                 }
             })
             .collect()
@@ -614,19 +641,17 @@ impl TableCache {
             // the whole enforcement so the global LRU choice cannot race
             // a concurrent stamp refresh.
             let mut guards: Vec<_> = self.shards.iter().map(|s| s.map.lock()).collect();
-            // Sum once, subtract per eviction: an eviction burst (e.g. a
-            // shrinking budget over a large cache) stays O(N) sums + one
-            // O(N) LRU scan per victim instead of O(N) sums per victim,
-            // all while the locks are held.
-            let mut resident = guards.iter().map(|map| map_bytes(map)).sum::<usize>();
-            while resident > budget {
+            // Each shard keeps its own byte count, so the check costs one
+            // add per shard, not a pass over every resident table.
+            while guards.iter().map(|map| map.bytes).sum::<usize>() > budget {
                 // Global minimum: clock stamps are unique (fetch_add), so
                 // there is exactly one across all shards.
                 let Some((si, key)) = guards
                     .iter()
                     .enumerate()
                     .filter_map(|(si, map)| {
-                        map.iter()
+                        map.entries
+                            .iter()
                             .min_by_key(|(_, e)| e.last_used)
                             .map(|(k, e)| (si, *k, e.last_used))
                     })
@@ -636,7 +661,6 @@ impl TableCache {
                     break;
                 };
                 if let Some(entry) = guards[si].remove(&key) {
-                    resident = resident.saturating_sub(entry.table.memory_bytes());
                     victims.push(entry.table);
                 }
                 self.shards[si].evictions.fetch_add(1, Ordering::Relaxed);
@@ -676,9 +700,10 @@ impl TableCache {
     /// budget exactly. Serving an entry refreshes its LRU stamp.
     fn peek(&self, key: &TableKey, max_lifespan: Time) -> Option<Arc<CompressedTable>> {
         let mut map = self.shard(key).map.lock();
-        let hit_key = match map.get(key) {
+        let hit_key = match map.entries.get(key) {
             Some(entry) if entry.table.covers(max_lifespan) => Some(*key),
             _ => map
+                .entries
                 .iter()
                 .filter(|(k, entry)| {
                     k.setup_bits == key.setup_bits
@@ -689,7 +714,7 @@ impl TableCache {
                 .min_by_key(|(k, _)| k.max_interrupts)
                 .map(|(k, _)| *k),
         }?;
-        let entry = map.get_mut(&hit_key).expect("key located above");
+        let entry = map.entries.get_mut(&hit_key).expect("key located above");
         entry.last_used = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         Some(entry.table.clone())
     }
@@ -700,7 +725,7 @@ impl TableCache {
     fn insert_if_larger(&self, key: TableKey, table: Arc<CompressedTable>) -> Arc<CompressedTable> {
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let mut map = self.shard(&key).map.lock();
-        match map.get_mut(&key) {
+        match map.entries.get_mut(&key) {
             Some(existing) if existing.table.max_ticks() >= table.max_ticks() => {
                 existing.last_used = stamp;
                 existing.table.clone()
@@ -1124,6 +1149,12 @@ mod tests {
         let t = rec.timings();
         assert_eq!(t.calls(Phase::EventLoop), 2, "one event build per level");
         assert!(t.ns(Phase::EventLoop) > 0, "stepped clock ticks");
+        assert_eq!(
+            t.calls(Phase::RunCompression),
+            2,
+            "each level's compression is timed apart from its event loop"
+        );
+        assert!(t.ns(Phase::RunCompression) > 0);
         assert_eq!(t.calls(Phase::SkeletonBuild), 0, "no tick walk ran");
 
         // The tick-walking build attributes the walk and the run
@@ -1169,6 +1200,46 @@ mod tests {
         cache.set_profiling(None, None);
         let _ = cache.get_compressed(secs(2.0), 8, secs(200.0), 2);
         assert_eq!(seen.lock().unwrap().len(), 2);
+    }
+
+    /// Each shard's byte count tracks every insert, replacement,
+    /// eviction and clear exactly: it always equals a fresh sum over the
+    /// shard's tables.
+    #[test]
+    fn shard_byte_counts_match_a_fresh_sum() {
+        let cache = TableCache::with_shards(3);
+        let check = |cache: &TableCache| {
+            for shard in &cache.shards {
+                let map = shard.map.lock();
+                let fresh: usize = map.entries.values().map(|e| e.table.memory_bytes()).sum();
+                assert_eq!(map.bytes, fresh);
+            }
+        };
+        // Inserts on four grids, then a larger solve replacing one key.
+        for (c, u) in [
+            (1.0, 40.0),
+            (2.0, 40.0),
+            (3.0, 40.0),
+            (4.0, 60.0),
+            (1.0, 200.0),
+        ] {
+            let _ = cache.get_compressed(secs(c), 8, secs(u), 2);
+            check(&cache);
+        }
+        assert_eq!(cache.stats().compressed_entries, 4);
+        // Evictions under a shrinking budget, then inserts under it.
+        let resident = cache.stats().resident_bytes;
+        cache.set_memory_budget(Some(resident / 2));
+        check(&cache);
+        assert!(cache.stats().evictions > 0);
+        for c in [5.0, 6.0, 2.0] {
+            let _ = cache.get_compressed(secs(c), 8, secs(50.0), 1);
+            check(&cache);
+        }
+        assert!(cache.stats().resident_bytes <= resident / 2);
+        cache.clear();
+        check(&cache);
+        assert_eq!(cache.stats().resident_bytes, 0);
     }
 
     #[test]

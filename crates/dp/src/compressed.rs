@@ -26,8 +26,9 @@
 //! * [`CompressedTable::solve_event_driven`] — the production build
 //!   ([`crate::event`]): between breakpoints every sweep quantity is
 //!   linear in `L`, so the builder jumps event to event in
-//!   `O(p·k log k)` time. The cache, store, sim and serving layers all
-//!   solve through it.
+//!   `O(p·k log k)` time, reading each previous level as the flat runs
+//!   it was just built in and compressing each level once complete.
+//!   The cache, store, sim and serving layers all solve through it.
 //! * [`CompressedTable::solve`] — the independent **tick-walking
 //!   reference**: the monotone frontier sweep of the §4 recursion, one
 //!   tick at a time (`O(p·L)`), each level read through the previous
@@ -68,6 +69,7 @@
 //! `O(m log L log k)` per reconstruction and zero bytes of policy
 //! storage.
 
+use crate::event::{build_level_events, BuildRow};
 use crate::grid::Grid;
 use crate::profile::{time_opt, Phase, PhaseRecorder};
 use crate::run::{RunCursor, RunRow};
@@ -173,11 +175,10 @@ impl CompressedRow {
     }
 }
 
-/// Forward cursor over a row's flat ticks: rank (`#flats ≤ pos`),
-/// membership, next-flat and value queries in `O(1)` amortized for
+/// Forward cursor over a row's values: `W(pos)` in `O(1)` amortized for
 /// positions that move (nearly) monotonically forward, tolerating the
-/// small retreats the frontier sweep performs when it interleaves `s`
-/// and `s+1`.
+/// small retreats the tick-walking sweep performs when it interleaves
+/// `s` and `s+1`.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct RowCursor<'a> {
     zero_until: i64,
@@ -186,37 +187,10 @@ pub(crate) struct RowCursor<'a> {
 }
 
 impl RowCursor<'_> {
-    /// The row's zero-region edge.
-    #[inline]
-    pub(crate) fn zero_until(&self) -> i64 {
-        self.zero_until
-    }
-
-    /// `#flats ≤ pos`; positions the cursor for the sibling queries.
-    #[inline]
-    pub(crate) fn rank_le(&mut self, pos: i64) -> i64 {
-        self.cur.rank_le(self.runs, pos)
-    }
-
-    /// Whether `pos` itself is a flat tick. Only valid immediately
-    /// after [`Self::rank_le`] with the same `pos`.
-    #[inline]
-    pub(crate) fn is_flat(&self, pos: i64) -> bool {
-        self.cur.is_flat(self.runs, pos)
-    }
-
-    /// The `k`-th flat tick strictly past the last [`Self::rank_le`]
-    /// position (`k = 0` ⇒ the first), or [`crate::run::NO_FLAT`]. Only valid
-    /// immediately after [`Self::rank_le`].
-    #[inline]
-    pub(crate) fn peek(&self, k: u32) -> i64 {
-        self.cur.peek(self.runs, k)
-    }
-
     /// `W(pos)` through the cursor (amortized-`O(1)` staircase read).
     #[inline]
     pub(crate) fn value(&mut self, pos: i64) -> i64 {
-        let rank = self.rank_le(pos);
+        let rank = self.cur.rank_le(self.runs, pos);
         if pos <= self.zero_until {
             0
         } else {
@@ -403,10 +377,10 @@ impl CompressedTable {
         )
     }
 
-    /// [`Self::solve_event_driven`] with each level's build timed into
-    /// `recorder` as [`Phase::EventLoop`]. The clock is read only
-    /// between phases, so the table is bit-identical to the unprofiled
-    /// solve.
+    /// [`Self::solve_event_driven`] with each level's event loop and run
+    /// compression timed into `recorder` as [`Phase::EventLoop`] and
+    /// [`Phase::RunCompression`]. The clock is read only between phases,
+    /// so the table is bit-identical to the unprofiled solve.
     pub fn solve_event_driven_profiled(
         setup: Time,
         ticks_per_setup: u32,
@@ -440,22 +414,24 @@ impl CompressedTable {
         let mut events: u64 = 0;
         // Level 0: W^(0)(l) = l ⊖ Q — a pure zero region, no flats after.
         rows.push(CompressedRow::empty(q.min(n)));
+        // The event build reads level p−1 as the flat runs it was built
+        // in, never by decoding its compressed row.
+        let mut prev = BuildRow::empty(q.min(n));
         for _p in 1..=max_interrupts {
-            let prev = rows.last().expect("level p−1 present");
             let row = if event_driven {
-                let (row, level_events) = time_opt(prof, Phase::EventLoop, || {
-                    crate::event::build_level_events(prev, n, q)
-                });
+                let (level, level_events) =
+                    time_opt(prof, Phase::EventLoop, || build_level_events(&prev, n, q));
                 events += level_events;
-                row
+                prev = level;
+                time_opt(prof, Phase::RunCompression, || prev.compress())
             } else {
                 events += n.max(0) as u64;
+                let prev_row = rows.last().expect("level p−1 present");
                 let (zero_until, flats) =
-                    time_opt(prof, Phase::SkeletonBuild, || walk_level(prev, n, q));
-                let runs = time_opt(prof, Phase::RunCompression, || {
-                    RunRow::compress(flats.into_iter())
-                });
-                CompressedRow { zero_until, runs }
+                    time_opt(prof, Phase::SkeletonBuild, || walk_level(prev_row, n, q));
+                time_opt(prof, Phase::RunCompression, || {
+                    BuildRow::from_ticks(zero_until, &flats).compress()
+                })
             };
             rows.push(row);
         }

@@ -43,11 +43,13 @@
 //! runs** (`FlatRun`): a stall of `d` ticks contributes one run
 //! descriptor in `O(1)` instead of `d` vector pushes, and the builder's
 //! own reads of the partial row go through a forward-only `BlockCursor`
-//! (rank, next-flat and membership queries, each `O(1)` amortized).
-//! Reads of the *completed* previous level go through its run cursor
-//! (see [`crate::compressed`]). Once a level is fully determined, its
-//! runs feed straight into the second-order compressor of
-//! [`crate::run`] **without ever materializing a per-breakpoint list**.
+//! (rank, membership, next-flat and second-next-flat queries, each
+//! `O(1)` amortized). A completed level keeps those runs: the next
+//! level reads its previous level through a second `BlockCursor` over
+//! them, so no read ever decodes an arithmetic run. Each level's runs
+//! also feed straight into the second-order compressor of
+//! [`crate::run`] **without ever materializing a per-breakpoint list**;
+//! the compressed row is what the table stores.
 //!
 //! ## Cost
 //!
@@ -73,34 +75,56 @@
 //! output is *bit-identical* to the tick-walking build by construction,
 //! which `tests/equivalence_props.rs` pins down over randomized setups.
 
-use crate::compressed::{CompressedRow, RowCursor};
-use crate::run::{RunRow, NO_FLAT};
+use crate::compressed::CompressedRow;
+use crate::run::{FlatRun, RunRow};
 
-/// A maximal run of consecutive flat ticks `start, start+1, …,
-/// start+len−1` of the row under construction.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct FlatRun {
-    /// First flat tick of the run.
-    start: i64,
-    /// Number of consecutive flat ticks.
-    len: i64,
-}
+/// Sentinel for "no flat tick ahead" — large enough to never constrain a
+/// span, small enough to never overflow the arithmetic around it.
+const NO_FLAT: i64 = i64::MAX / 4;
 
-/// The row under construction: zero-region prefix plus run-length-encoded
-/// flat ticks. The builder reads it through `BlockCursor`s and converts
-/// it into a [`CompressedRow`] only once the level is complete.
+/// One level as run-length-encoded flat ticks past its zero-region
+/// prefix: the row under construction, and — once complete — the next
+/// level's input, read through a `BlockCursor`. [`Self::compress`] turns
+/// a complete level into its stored form.
 #[derive(Debug, Default)]
-struct BuildRow {
+pub(crate) struct BuildRow {
     /// Largest `l` with `W(l) = 0` so far.
-    zero_until: i64,
+    pub(crate) zero_until: i64,
     /// Flat runs, sorted, disjoint, never adjacent (adjacent appends are
     /// merged on push).
-    runs: Vec<FlatRun>,
+    pub(crate) runs: Vec<FlatRun>,
     /// Total flat ticks across `runs`.
     count: i64,
 }
 
 impl BuildRow {
+    /// A row with no flat ticks past the zero region — level 0.
+    pub(crate) fn empty(zero_until: i64) -> BuildRow {
+        BuildRow {
+            zero_until,
+            ..BuildRow::default()
+        }
+    }
+
+    /// The row whose flat ticks past `zero_until` are `ticks` (strictly
+    /// increasing): how a tick-walked level reaches the compressor.
+    pub(crate) fn from_ticks(zero_until: i64, ticks: &[i64]) -> BuildRow {
+        let mut row = BuildRow::empty(zero_until);
+        for &t in ticks {
+            row.push_flat(t);
+        }
+        row
+    }
+
+    /// The level's stored form: its flat runs fed straight into the
+    /// second-order compressor, with no per-flat list in between.
+    pub(crate) fn compress(&self) -> CompressedRow {
+        CompressedRow {
+            zero_until: self.zero_until,
+            runs: RunRow::compress(&self.runs),
+        }
+    }
+
     /// Appends the flat run `start..start+len`, merging with the last run
     /// when contiguous. Positions only ever grow, so append-or-merge is
     /// complete.
@@ -122,9 +146,9 @@ impl BuildRow {
 }
 
 /// Forward-only reader over a [`BuildRow`]'s runs: rank (`#flats ≤ pos`),
-/// next-flat-after and flat-membership queries in `O(1)` amortized, for
-/// query positions that never decrease (the sweep residual `s` is
-/// monotone in `l`).
+/// flat-membership and next-flat queries in `O(1)` amortized, for query
+/// positions that never decrease (the sweep residual `s` is monotone in
+/// `l`).
 #[derive(Clone, Copy, Debug, Default)]
 struct BlockCursor {
     /// First run whose last flat is ≥ the latest query position.
@@ -134,8 +158,8 @@ struct BlockCursor {
 }
 
 impl BlockCursor {
-    /// `#flats ≤ pos`. Also positions the cursor for [`Self::is_flat`] and
-    /// [`Self::next_after`] at the same `pos`.
+    /// `#flats ≤ pos`. Also positions the cursor for the other queries at
+    /// the same `pos`.
     #[inline]
     fn rank(&mut self, runs: &[FlatRun], pos: i64) -> i64 {
         while self.idx < runs.len() && runs[self.idx].start + runs[self.idx].len - 1 < pos {
@@ -155,15 +179,35 @@ impl BlockCursor {
         matches!(runs.get(self.idx), Some(r) if r.start <= pos)
     }
 
+    /// The smallest flat tick strictly greater than `pos` and the index
+    /// of its run, or `None`. Only valid immediately after
+    /// [`Self::rank`] was called with the same `pos`.
+    #[inline]
+    fn first_after(&self, runs: &[FlatRun], pos: i64) -> Option<(i64, usize)> {
+        match runs.get(self.idx) {
+            Some(r) if r.start > pos => Some((r.start, self.idx)),
+            Some(r) if r.start + r.len - 1 > pos => Some((pos + 1, self.idx)),
+            Some(_) => runs.get(self.idx + 1).map(|r2| (r2.start, self.idx + 1)),
+            None => None,
+        }
+    }
+
     /// The smallest flat tick strictly greater than `pos`, or [`NO_FLAT`].
     /// Only valid immediately after [`Self::rank`] was called with the
     /// same `pos`.
     #[inline]
     fn next_after(&self, runs: &[FlatRun], pos: i64) -> i64 {
-        match runs.get(self.idx) {
-            Some(r) if r.start > pos => r.start,
-            Some(r) if r.start + r.len - 1 > pos => pos + 1,
-            Some(_) => runs.get(self.idx + 1).map_or(NO_FLAT, |r2| r2.start),
+        self.first_after(runs, pos).map_or(NO_FLAT, |(f, _)| f)
+    }
+
+    /// The second-smallest flat tick strictly greater than `pos`, or
+    /// [`NO_FLAT`]. Only valid immediately after [`Self::rank`] was called
+    /// with the same `pos`.
+    #[inline]
+    fn next2_after(&self, runs: &[FlatRun], pos: i64) -> i64 {
+        match self.first_after(runs, pos) {
+            Some((f, i)) if f + 1 < runs[i].start + runs[i].len => f + 1,
+            Some((_, i)) => runs.get(i + 1).map_or(NO_FLAT, |r| r.start),
             None => NO_FLAT,
         }
     }
@@ -184,11 +228,12 @@ fn val(zero: i64, rank_le: i64, x: i64) -> i64 {
 /// tick-walking build (`compressed::walk_level`) onto cursor reads. Used for every
 /// tick where no linear span is provable: zero-region edges, flat
 /// crossings, cap transitions. `pc` is the forward-only cursor into the
-/// completed previous level; `rc` serves the same queries against the
-/// run-encoded row under construction.
+/// completed previous level `prev`; `rc` serves the same queries against
+/// the row under construction.
 #[allow(clippy::too_many_arguments)]
 fn single_step(
-    pc: &mut RowCursor<'_>,
+    prev: &BuildRow,
+    pc: &mut BlockCursor,
     cur: &mut BuildRow,
     l: &mut i64,
     last: &mut i64,
@@ -196,14 +241,14 @@ fn single_step(
     q: i64,
     rc: &mut BlockCursor,
 ) {
-    let pz = pc.zero_until();
+    let pz = prev.zero_until;
     let lt = *l + 1;
     let mut best = *last;
     if lt > q {
         let tau = lt - q;
         let s_cap = tau - 1;
         let mut c1 = rc.rank(&cur.runs, *s + 1);
-        let mut p1 = pc.rank_le(*s + 1);
+        let mut p1 = pc.rank(&prev.runs, *s + 1);
         loop {
             if *s >= s_cap {
                 break;
@@ -212,13 +257,13 @@ fn single_step(
             if h <= tau {
                 *s += 1;
                 c1 = rc.rank(&cur.runs, *s + 1);
-                p1 = pc.rank_le(*s + 1);
+                p1 = pc.rank(&prev.runs, *s + 1);
             } else {
                 break;
             }
         }
         let sf = *s;
-        let rp0 = p1 - i64::from(pc.is_flat(sf + 1));
+        let rp0 = p1 - i64::from(pc.is_flat(&prev.runs, sf + 1));
         let rc0 = c1 - i64::from(rc.is_flat(&cur.runs, sf + 1));
         let cz = cur.zero_until;
         let t_star = lt - sf;
@@ -277,25 +322,24 @@ fn emit_tick(cur: &mut BuildRow, l: &mut i64, last: &mut i64, best: i64) {
     *l += 1;
 }
 
-/// Builds level `p` from the completed level `p−1` row by event jumps.
-/// Returns the row and the number of events (loop iterations — span
-/// applications plus boundary single-steps) taken.
-pub(crate) fn build_level_events(prev: &CompressedRow, n: i64, q: i64) -> (CompressedRow, u64) {
-    let mut pc = prev.cursor();
-    let pz = pc.zero_until();
+/// Builds level `p` from the completed level `p−1` by event jumps.
+/// Returns the level's flat runs and the number of events (loop
+/// iterations — span applications plus boundary single-steps) taken.
+pub(crate) fn build_level_events(prev: &BuildRow, n: i64, q: i64) -> (BuildRow, u64) {
+    let pz = prev.zero_until;
     let mut cur = BuildRow::default();
     // Level p's loss exceeds level p−1's by roughly one period's worth,
     // but runs compress consecutive flats; a modest seed avoids the first
     // few doubling-and-copy rounds without over-reserving.
-    cur.runs.reserve(prev.count() as usize / 8 + 32);
+    cur.runs.reserve(prev.count as usize / 8 + 32);
     let mut l: i64 = 0; // last computed tick
     let mut last: i64 = 0; // W^(p)(l)
     let mut s: i64 = 0; // crossing residual s*, nondecreasing in l
     let mut events: u64 = 0;
-    // Forward-only cursors at position s+1: the previous level through
-    // its run cursor, the row under construction through the block
-    // cursor. `s` never retreats, so each
-    // cursor crosses each flat once per level.
+    // Forward-only cursors at position s+1 over the flat runs of the
+    // previous level (`pc`) and of the row under construction (`rc`).
+    // `s` never retreats, so each cursor crosses each run once per level.
+    let mut pc = BlockCursor::default();
     let mut rc = BlockCursor::default();
 
     // Ticks 1..=Q carry no productive period and a zero wait-chain: the
@@ -309,7 +353,7 @@ pub(crate) fn build_level_events(prev: &CompressedRow, n: i64, q: i64) -> (Compr
 
     while l < n {
         events += 1;
-        let prank1 = pc.rank_le(s + 1);
+        let prank1 = pc.rank(&prev.runs, s + 1);
         let crank1 = rc.rank(&cur.runs, s + 1);
 
         // The span formulas difference the rows across the sweep window;
@@ -321,7 +365,7 @@ pub(crate) fn build_level_events(prev: &CompressedRow, n: i64, q: i64) -> (Compr
             let p1 = val(pz, prank1, s + 1);
             let c1 = val(cz, crank1, s + 1);
             let d = (s + 1) + p1 - c1 - tau;
-            let s1_is_pflat = pc.is_flat(s + 1);
+            let s1_is_pflat = pc.is_flat(&prev.runs, s + 1);
             let a0 = val(pz, prank1 - i64::from(s1_is_pflat), s);
 
             if d >= 2 {
@@ -341,7 +385,11 @@ pub(crate) fn build_level_events(prev: &CompressedRow, n: i64, q: i64) -> (Compr
                 // to the cap s_cap = τ − 1 (d ≤ 0, periods of exactly Q+1
                 // ticks).
                 let s_cap = tau - 1;
-                let np = if s1_is_pflat { s + 1 } else { pc.peek(0) };
+                let np = if s1_is_pflat {
+                    s + 1
+                } else {
+                    pc.next_after(&prev.runs, s + 1)
+                };
                 let nc = rc.next_after(&cur.runs, s + 1);
                 if d >= 1 || s == s_cap {
                     // Genericity horizons: no flat of either row may
@@ -387,8 +435,13 @@ pub(crate) fn build_level_events(prev: &CompressedRow, n: i64, q: i64) -> (Compr
                         s += 1;
                         continue;
                     }
-                    let s3_is_pflat = pc.peek(1) == s + 3;
-                    if np == s + 2 && !s3_is_pflat && nc > s + 3 && s + 2 < tau {
+                    // With np == s+2 the second prev flat past s+1 is the
+                    // one after s+2; read it only then.
+                    if np == s + 2
+                        && pc.next2_after(&prev.runs, s + 1) != s + 3
+                        && nc > s + 3
+                        && s + 2 < tau
+                    {
                         // The window edge moves onto a flat of the
                         // completed level: h is locally flat there, so
                         // the frontier advances exactly twice in one tick
@@ -405,16 +458,12 @@ pub(crate) fn build_level_events(prev: &CompressedRow, n: i64, q: i64) -> (Compr
             }
         }
         // No provable span — take one exact tick of the frontier sweep.
-        single_step(&mut pc, &mut cur, &mut l, &mut last, &mut s, q, &mut rc);
+        single_step(
+            prev, &mut pc, &mut cur, &mut l, &mut last, &mut s, q, &mut rc,
+        );
     }
 
-    // Feed the block runs straight into the second-order compressor
-    // without expanding a per-breakpoint list.
-    let row = CompressedRow {
-        zero_until: cur.zero_until,
-        runs: RunRow::compress(cur.runs.iter().flat_map(|r| r.start..r.start + r.len)),
-    };
-    (row, events)
+    (cur, events)
 }
 
 #[cfg(test)]
@@ -429,10 +478,12 @@ mod tests {
     #[test]
     fn levels_match_tick_walk_exactly() {
         for (q, n, p_max) in [(1i64, 400i64, 4u32), (4, 1000, 3), (16, 3000, 5), (7, 0, 2)] {
-            let mut prev = CompressedRow::empty(q.min(n));
+            let mut prev = BuildRow::empty(q.min(n));
+            let mut prev_row = prev.compress();
             for p in 1..=p_max {
-                let (zero_until, flats) = walk_level(&prev, n, q);
-                let (jumped, events) = build_level_events(&prev, n, q);
+                let (zero_until, flats) = walk_level(&prev_row, n, q);
+                let (level, events) = build_level_events(&prev, n, q);
+                let jumped = level.compress();
                 assert_eq!(
                     zero_until, jumped.zero_until,
                     "zero region differs at q={q}, n={n}, p={p}"
@@ -448,7 +499,8 @@ mod tests {
                         "event build took {events} events for {n} ticks — not skipping"
                     );
                 }
-                prev = jumped;
+                prev = level;
+                prev_row = jumped;
             }
         }
     }
@@ -459,8 +511,8 @@ mod tests {
     fn deep_lifespan_event_count_is_sublinear() {
         let n: i64 = 5_000_000;
         let q: i64 = 8;
-        let prev = CompressedRow::empty(q);
-        let (row, events) = build_level_events(&prev, n, q);
+        let (level, events) = build_level_events(&BuildRow::empty(q), n, q);
+        let row = level.compress();
         // k = O(√(QL)): ~9e3 here. Events track k, not L.
         assert!(
             (events as i64) < n / 50,
@@ -478,7 +530,7 @@ mod tests {
         );
     }
 
-    /// BlockCursor rank/membership/next queries against a brute-force
+    /// BlockCursor rank/membership/next/second-next queries against a brute-force
     /// reference over irregular runs.
     #[test]
     fn block_cursor_matches_bruteforce() {
@@ -498,8 +550,11 @@ mod tests {
                 flats.contains(&pos),
                 "membership at {pos}"
             );
-            let next = flats.iter().find(|&&f| f > pos).copied().unwrap_or(NO_FLAT);
+            let mut after = flats.iter().copied().filter(|&f| f > pos);
+            let next = after.next().unwrap_or(NO_FLAT);
             assert_eq!(cursor.next_after(&runs, pos), next, "next after {pos}");
+            let next2 = after.next().unwrap_or(NO_FLAT);
+            assert_eq!(cursor.next2_after(&runs, pos), next2, "second after {pos}");
         }
     }
 }

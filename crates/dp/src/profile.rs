@@ -14,11 +14,12 @@
 //!
 //! - [`Phase::SkeletonBuild`] — the tick-walking reference build
 //!   (`compressed::walk_level`), one walk per interrupt level.
-//! - [`Phase::EventLoop`] — the event-driven run-skipping build
-//!   (`event::build_level_events`, run compression included): the
-//!   production solve, one build per interrupt level.
-//! - [`Phase::RunCompression`] — compressing a tick-walked level into
-//!   its arithmetic runs.
+//! - [`Phase::EventLoop`] — the event-driven run-skipping build loop
+//!   (`event::build_level_events`): the production solve, one build per
+//!   interrupt level.
+//! - [`Phase::RunCompression`] — compressing a completed level, from
+//!   either build, into its arithmetic runs (`run::RunRow::compress`),
+//!   once per interrupt level.
 
 use cyclesteal_obs::Clock;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,7 +35,7 @@ pub enum Phase {
     SkeletonBuild,
     /// Event-driven (run-skipping) build loop.
     EventLoop,
-    /// Run compression of a tick-walked level.
+    /// Run compression of a completed level (either build).
     RunCompression,
 }
 

@@ -41,13 +41,11 @@
 //! residual byte, arithmetic flats pay nothing) — the `perf_dp` bench
 //! reports both as `run_compressed_breakpoints` / `run_memory_bytes`.
 //! Queries stay `O(log r + log len)` random-access and `O(1)` amortized
-//! through the forward `RunCursor`, which is what both table builds read
-//! the previous level through.
-
-/// Sentinel for "no flat tick ahead" — large enough to never constrain a
-/// span, small enough to never overflow the arithmetic around it.
-/// Shared with [`crate::event`].
-pub(crate) const NO_FLAT: i64 = i64::MAX / 4;
+//! through the forward `RunCursor`, which is what the tick-walking
+//! reference build reads the previous level through. The event-driven
+//! build never decodes a compressed row: it reads the previous level as
+//! the `FlatRun`s it was built in, and compresses each level only once
+//! it is complete.
 
 /// Fixed-point fraction bits of [`ArithRun::step_fx`].
 const STEP_FRAC_BITS: u32 = 16;
@@ -68,6 +66,48 @@ const LOOKAHEAD: usize = 64;
 /// Hard cap on flats per run, keeping `len · step_fx` far from `i64`
 /// overflow for any step the estimator can produce.
 const LEN_CAP: u32 = 1 << 20;
+
+/// A maximal run of consecutive flat ticks `start, start+1, …,
+/// start+len−1`: the first-order form a level is built in
+/// ([`crate::event`]) and the input of [`RunRow::compress`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct FlatRun {
+    /// First flat tick of the run.
+    pub(crate) start: i64,
+    /// Number of consecutive flat ticks.
+    pub(crate) len: i64,
+}
+
+/// A flat's place in a [`FlatRun`] slice: the run holding it and its
+/// offset inside that run.
+#[derive(Clone, Copy, Debug, Default)]
+struct FlatPos {
+    run: usize,
+    off: i64,
+}
+
+impl FlatPos {
+    /// The flat tick at this position.
+    #[inline]
+    fn tick(&self, flats: &[FlatRun]) -> i64 {
+        flats[self.run].start + self.off
+    }
+
+    /// Moves `k` flats forward; the target flat must exist.
+    #[inline]
+    fn advance(&mut self, flats: &[FlatRun], mut k: i64) {
+        while k > 0 {
+            let left = flats[self.run].len - self.off;
+            if k < left {
+                self.off += k;
+                return;
+            }
+            k -= left;
+            self.run += 1;
+            self.off = 0;
+        }
+    }
+}
 
 /// One arithmetic run: `len` flat ticks starting at tick `start` (where
 /// the row takes the value implied by `rank_before`), advancing by the
@@ -177,29 +217,28 @@ impl RunRow {
         }
     }
 
-    /// Builds a [`RunRow`] from strictly increasing flat ticks. The
-    /// compression is deterministic: a new run estimates its common
+    /// Builds a [`RunRow`] from a level's flat runs (sorted, disjoint).
+    /// The compression is deterministic: a new run estimates its common
     /// difference from the endpoint slope of up to [`LOOKAHEAD`] upcoming
     /// flats, then extends greedily while each flat's residual fits an
     /// `i8`; residual blocks that end up all-zero are elided.
-    pub(crate) fn compress(flats: impl Iterator<Item = i64>) -> RunRow {
+    pub(crate) fn compress(flats: &[FlatRun]) -> RunRow {
+        let total: i64 = flats.iter().map(|r| r.len).sum();
         let mut row = RunRow::default();
-        let mut pending: std::collections::VecDeque<i64> = std::collections::VecDeque::new();
-        let mut src = flats;
-        loop {
-            while pending.len() < LOOKAHEAD {
-                match src.next() {
-                    Some(f) => pending.push_back(f),
-                    None => break,
-                }
-            }
-            let Some(&start) = pending.front() else {
-                break;
-            };
-            let m = pending.len();
+        // `head` is the next flat to encode (flat number `row.count`);
+        // `ahead` trails it to the last flat of the lookahead window.
+        let mut head = FlatPos::default();
+        let mut ahead = FlatPos::default();
+        let mut ahead_idx: i64 = 0;
+        while row.count < total {
+            let start = head.tick(flats);
+            let m = (total - row.count).min(LOOKAHEAD as i64);
+            let last_idx = row.count + m - 1;
+            ahead.advance(flats, last_idx - ahead_idx);
+            ahead_idx = last_idx;
             let step_fx = if m >= 2 {
-                let span = pending[m - 1] - start;
-                ((span << STEP_FRAC_BITS) / (m as i64 - 1)).max(1)
+                let span = ahead.tick(flats) - start;
+                ((span << STEP_FRAC_BITS) / (m - 1)).max(1)
             } else {
                 1 << STEP_FRAC_BITS
             };
@@ -207,40 +246,24 @@ impl RunRow {
             let res_off = row.res.len() as u32;
             let mut len: u32 = 0;
             let mut all_zero = true;
-            loop {
-                if len == cap {
-                    break;
-                }
-                let f = match pending.front() {
-                    Some(&f) => f,
-                    None => match src.next() {
-                        Some(f) => f,
-                        None => break,
-                    },
-                };
-                let modeled = start + ((len as i64 * step_fx) >> STEP_FRAC_BITS);
-                let r = f - modeled;
-                if r.abs() > RES_MAX {
-                    // Put a flat pulled straight from the source back in
-                    // front so the next run starts from it.
-                    if pending.front() != Some(&f) {
-                        pending.push_front(f);
+            'run: while let Some(fr) = flats.get(head.run) {
+                while head.off < fr.len {
+                    if len == cap {
+                        break 'run;
                     }
-                    break;
-                }
-                if pending.front() == Some(&f) {
-                    pending.pop_front();
-                }
-                row.res.push(r as i8);
-                all_zero &= r == 0;
-                len += 1;
-                if pending.is_empty() {
-                    // Keep the source drained through the deque so the
-                    // `front()` fast path above stays coherent.
-                    if let Some(next) = src.next() {
-                        pending.push_back(next);
+                    let modeled = start + ((len as i64 * step_fx) >> STEP_FRAC_BITS);
+                    let r = fr.start + head.off - modeled;
+                    if r.abs() > RES_MAX {
+                        // This flat starts the next run.
+                        break 'run;
                     }
+                    row.res.push(r as i8);
+                    all_zero &= r == 0;
+                    len += 1;
+                    head.off += 1;
                 }
+                head.run += 1;
+                head.off = 0;
             }
             debug_assert!(len >= 1, "a run always covers its anchor flat");
             let run = ArithRun {
@@ -312,10 +335,10 @@ impl RunFlatIter<'_> {
     }
 }
 
-/// Forward-only cursor over a [`RunRow`]: `rank`/`is_flat`/`next_after`/
-/// `next2_after` in `O(1)` amortized for query positions that move
-/// (nearly) monotonically forward; tolerates the one-tick retreats the
-/// frontier sweep performs when it interleaves `s` and `s+1`.
+/// Forward cursor over a [`RunRow`]: `#flats ≤ pos` in `O(1)` amortized
+/// for query positions that move (nearly) monotonically forward;
+/// tolerates the one-tick retreats the tick-walking sweep performs when
+/// it interleaves `s` and `s+1`.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct RunCursor {
     /// Current run index (may equal `runs.len()` past the end).
@@ -325,7 +348,7 @@ pub(crate) struct RunCursor {
 }
 
 impl RunCursor {
-    /// `#flats ≤ pos`; positions the cursor for the sibling queries.
+    /// `#flats ≤ pos`.
     #[inline]
     pub(crate) fn rank_le(&mut self, row: &RunRow, pos: i64) -> i64 {
         // Retreat (rare, bounded): step back while the last counted flat
@@ -371,44 +394,19 @@ impl RunCursor {
             None => row.count,
         }
     }
-
-    /// Whether `pos` itself is a flat tick. Only valid immediately after
-    /// [`Self::rank_le`] with the same `pos`.
-    #[inline]
-    pub(crate) fn is_flat(&self, row: &RunRow, pos: i64) -> bool {
-        if self.j > 0 {
-            row.flat_at(&row.runs[self.run], self.j - 1) == pos
-        } else if self.run > 0 {
-            row.last_of(&row.runs[self.run - 1]) == pos
-        } else {
-            false
-        }
-    }
-
-    /// The `k`-th flat strictly past the cursor (`k = 0` ⇒ the first),
-    /// or [`NO_FLAT`]. Only valid immediately after [`Self::rank_le`];
-    /// `k ≤ 1` is what the event builder needs, but any small `k` works.
-    #[inline]
-    pub(crate) fn peek(&self, row: &RunRow, k: u32) -> i64 {
-        let mut run_idx = self.run;
-        let mut j = self.j + k;
-        while let Some(run) = row.runs.get(run_idx) {
-            if j < run.len {
-                return row.flat_at(run, j);
-            }
-            j -= run.len;
-            run_idx += 1;
-        }
-        NO_FLAT
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::BuildRow;
 
     /// A jittery near-arithmetic sequence like the solver's skeletons
     /// produce: base gap drifting slowly, deterministic ±3 wobble.
+    fn compress_ticks(ticks: &[i64]) -> RunRow {
+        RunRow::compress(&BuildRow::from_ticks(0, ticks).runs)
+    }
+
     fn jittery(n: usize) -> Vec<i64> {
         let mut pos = 17i64;
         let mut out = Vec::with_capacity(n);
@@ -430,17 +428,36 @@ mod tests {
             vec![],
             vec![3, 4, 5, 6, 100, 200, 300, 5000], // mixed regimes
         ] {
-            let row = RunRow::compress(flats.iter().copied());
+            let row = compress_ticks(&flats);
             assert_eq!(row.count(), flats.len() as i64);
             let back: Vec<i64> = row.iter().collect();
             assert_eq!(back, flats, "round-trip mismatch");
         }
     }
 
+    /// The encoding depends only on the flat ticks, not on how they are
+    /// split into `FlatRun`s: the lookahead and the residual walk cross
+    /// run boundaries at any offset.
+    #[test]
+    fn compression_ignores_flat_run_boundaries() {
+        let mut ticks: Vec<i64> = (100..400).collect(); // one long run
+        ticks.extend(jittery(3000).iter().map(|f| f + 500));
+        ticks.extend(10_000_000..10_000_090);
+        let merged = BuildRow::from_ticks(0, &ticks).runs;
+        assert!(merged.len() < ticks.len());
+        let singles: Vec<FlatRun> = ticks
+            .iter()
+            .map(|&t| FlatRun { start: t, len: 1 })
+            .collect();
+        let row = RunRow::compress(&merged);
+        assert_eq!(row, RunRow::compress(&singles));
+        assert_eq!(row.iter().collect::<Vec<_>>(), ticks);
+    }
+
     #[test]
     fn jittery_rows_compress_and_pure_rows_store_no_residuals() {
         let flats = jittery(50_000);
-        let row = RunRow::compress(flats.iter().copied());
+        let row = compress_ticks(&flats);
         assert!(
             row.descriptors() * 20 < flats.len(),
             "{} runs for {} jittery flats — regime tracking broke",
@@ -451,7 +468,7 @@ mod tests {
         assert!(row.memory_bytes() < flats.len() * 2 + 4096);
 
         let arith: Vec<i64> = (0..10_000).map(|i| 3 + 11 * i).collect();
-        let row = RunRow::compress(arith.iter().copied());
+        let row = compress_ticks(&arith);
         assert_eq!(row.descriptors(), 1, "pure progression should be one run");
         assert!(row.res.is_empty(), "pure runs must elide residuals");
     }
@@ -459,7 +476,7 @@ mod tests {
     #[test]
     fn rank_matches_bruteforce() {
         let flats = jittery(2000);
-        let row = RunRow::compress(flats.iter().copied());
+        let row = compress_ticks(&flats);
         let max = *flats.last().unwrap() + 5;
         for pos in (0..max).step_by(13).chain(flats.iter().copied()) {
             let want = flats.iter().filter(|&&f| f <= pos).count() as i64;
@@ -470,7 +487,7 @@ mod tests {
     #[test]
     fn cursor_matches_bruteforce_with_retreats() {
         let flats = jittery(800);
-        let row = RunRow::compress(flats.iter().copied());
+        let row = compress_ticks(&flats);
         let mut cur = RunCursor::default();
         let max = *flats.last().unwrap() + 3;
         let mut pos = 0i64;
@@ -480,10 +497,6 @@ mod tests {
             for p in [pos + 1, pos, pos + 1] {
                 let want = flats.iter().filter(|&&f| f <= p).count() as i64;
                 assert_eq!(cur.rank_le(&row, p), want, "rank at {p}");
-                assert_eq!(cur.is_flat(&row, p), flats.contains(&p), "is_flat at {p}");
-                let next: Vec<i64> = flats.iter().copied().filter(|&f| f > p).take(2).collect();
-                assert_eq!(cur.peek(&row, 0), next.first().copied().unwrap_or(NO_FLAT));
-                assert_eq!(cur.peek(&row, 1), next.get(1).copied().unwrap_or(NO_FLAT));
             }
             pos += 7;
         }
@@ -492,7 +505,7 @@ mod tests {
     #[test]
     fn seek_after_positions_the_iterator() {
         let flats = jittery(1500);
-        let row = RunRow::compress(flats.iter().copied());
+        let row = compress_ticks(&flats);
         for pos in [0i64, 16, 17, 18, 500, 20_000, i64::MAX / 8] {
             let mut it = row.iter();
             let rank = it.seek_after(pos);
@@ -507,7 +520,7 @@ mod tests {
     fn huge_gaps_do_not_overflow() {
         // Steps near the NO_FLAT scale: len caps keep j·step_fx in range.
         let flats = vec![0i64, 1 << 40, 2 << 40, 3 << 40, (3 << 40) + 5];
-        let row = RunRow::compress(flats.iter().copied());
+        let row = compress_ticks(&flats);
         let back: Vec<i64> = row.iter().collect();
         assert_eq!(back, flats);
         assert_eq!(row.rank_le(1 << 41), 3);

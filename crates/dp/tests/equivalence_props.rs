@@ -3,14 +3,17 @@
 //! the dense oracle of `support` on values, on argmax and on the
 //! episodes the argmax induces, over randomized `(q, L, p)` grids and at
 //! the documented edges (`t ≤ Q` wait domination, `L ∈ {0, 1}`,
-//! single-breakpoint rows, all-flat tails).
+//! single-breakpoint rows, all-flat tails). The certificate of `support`
+//! checks the production build against the §4 recursion at sizes no
+//! dense oracle reaches.
 
 mod support;
 
 use cyclesteal_core::prelude::*;
 use cyclesteal_dp::CompressedTable;
 use proptest::prelude::*;
-use support::{Oracle, Search};
+use std::time::Instant;
+use support::{certificate_points, certify, Oracle, Search};
 
 fn solve_event(q: u32, max_u: f64, p: u32) -> CompressedTable {
     CompressedTable::solve_event_driven(secs(1.0), q, secs(max_u), p)
@@ -305,4 +308,90 @@ fn compressed_scales_where_dense_cannot() {
         dp >= cf - secs((m + 2.0) / q as f64),
         "grid too lossy at U={u}: {dp} vs {cf}"
     );
+}
+
+/// A table built from mutated parts: the last flat of the first level-`p`
+/// run past the middle that stores residuals moves one tick later. Returns
+/// the table and the flat's old position.
+fn with_one_flat_moved(table: &CompressedTable, p: usize) -> (CompressedTable, i64) {
+    let mut parts = table.to_parts();
+    let row = &mut parts.rows[p];
+    let mut off = 0usize;
+    let mut moved = None;
+    for (i, run) in row.runs.iter().enumerate() {
+        let len = run.len as usize;
+        if run.has_residuals {
+            let last = off + len - 1;
+            let j = i64::from(run.len) - 1;
+            let tick = run.start + ((j * run.step_fx) >> 16) + i64::from(row.residuals[last]);
+            let next = row.runs.get(i + 1).map_or(parts.max_ticks + 1, |r| r.start);
+            if i >= row.runs.len() / 2 && tick + 1 < next && row.residuals[last] < 127 {
+                row.residuals[last] += 1;
+                moved = Some(tick);
+                break;
+            }
+            off += len;
+        }
+    }
+    let moved = moved.expect("a run with residuals and room to move its last flat");
+    (CompressedTable::from_parts(parts).unwrap(), moved)
+}
+
+#[test]
+fn certificate_accepts_every_state_of_small_tables() {
+    for (q, u, p) in [
+        (1u32, 300.0, 4u32),
+        (4, 200.0, 3),
+        (7, 150.0, 5),
+        (16, 40.0, 6),
+    ] {
+        let table = solve_event(q, u, p);
+        let every: Vec<(u32, i64)> = (0..=p)
+            .flat_map(|pp| (0..=table.max_ticks()).map(move |l| (pp, l)))
+            .collect();
+        assert_eq!(certify(&table, &every), Ok(()), "q={q}, U={u}, p={p}");
+    }
+}
+
+#[test]
+fn certificate_catches_one_moved_flat() {
+    let table = solve_event(8, 2000.0, 4);
+    for p in 1..=4 {
+        let (bad, tick) = with_one_flat_moved(&table, p);
+        let points = certificate_points(&bad, 200, 11);
+        assert_eq!(certify(&bad, &points), Err((p as u32, tick)));
+    }
+}
+
+/// The production build at `(Q=32, p=8, 10⁷ ticks)`, checked against the
+/// §4 recursion at the zero-region edges, both ends of every stored
+/// descriptor and a seeded sample.
+#[test]
+fn certificate_holds_at_ten_million_ticks() {
+    let table = solve_event(32, 312_500.0, 8);
+    assert_eq!(table.max_ticks(), 10_000_000);
+    let points = certificate_points(&table, 20_000, 7);
+    assert_eq!(certify(&table, &points), Ok(()));
+}
+
+/// The `(Q=32, p=16, 10⁹ ticks)` acceptance table, certified with 20,000
+/// sampled lifespans per level. Takes seconds in release, far longer in
+/// debug, so it runs on request:
+/// `cargo test --release -p cyclesteal-dp --test equivalence_props -- --ignored --nocapture`.
+#[test]
+#[ignore = "release-mode check at the 10⁹-tick acceptance point"]
+fn certificate_holds_at_a_billion_ticks() {
+    let start = Instant::now();
+    let table = solve_event(32, 31_250_000.0, 16);
+    let solved = start.elapsed();
+    let points = certificate_points(&table, 20_000, 7);
+    let result = certify(&table, &points);
+    eprintln!(
+        "certificate at 10^9 ticks: {} points, {} failed, solve {:.2} s, certify {:.2} s",
+        points.len(),
+        usize::from(result.is_err()),
+        solved.as_secs_f64(),
+        (start.elapsed() - solved).as_secs_f64()
+    );
+    assert_eq!(result, Ok(()));
 }

@@ -1,10 +1,16 @@
-//! The dense reference oracle of the equivalence suite: `W^(p)[L]` as one
-//! `i64` row per level plus the per-state argmax, filled by per-state
-//! bisection on the crossing (`O(p·L log L)`) or by a full scan over
-//! productive period lengths (`O(p·L²)`) — small grids only. Tie-breaks
-//! are the production ones: the crossing `t*` or one tick before it, a
-//! real period over a 1-tick wait, and a zero-value state burning its
-//! whole lifespan in one period.
+//! The reference checks of the equivalence suite.
+//!
+//! - [`Oracle`], the dense oracle: `W^(p)[L]` as one `i64` row per level
+//!   plus the per-state argmax, filled by per-state bisection on the
+//!   crossing (`O(p·L log L)`) or by a full scan over productive period
+//!   lengths (`O(p·L²)`) — small grids only. Tie-breaks are the
+//!   production ones: the crossing `t*` or one tick before it, a real
+//!   period over a 1-tick wait, and a zero-value state burning its
+//!   whole lifespan in one period.
+//! - [`certify`], the certificate: checks chosen states of a table of
+//!   any size against the §4 recursion in `O(log L)` value lookups each.
+
+use cyclesteal_dp::CompressedTable;
 
 /// How a level fill locates the maximizing period length.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -146,4 +152,109 @@ impl Oracle {
         }
         periods
     }
+}
+
+/// One state the certificate checks: interrupt level `p` and lifespan
+/// `L` in ticks.
+pub type Point = (u32, i64);
+
+/// Checks `table` at every point against the §4 recursion, reading
+/// nothing but the table's own values: `W^(0)(L) = L ⊖ Q` and, for
+/// `p ≥ 1`,
+///
+/// `W^(p)(L) = max(W^(p)(L−1), min(A, B) at the last t with B ≤ A, and at the t after it)`
+///
+/// over periods `t ∈ [Q+1, L]`, with the interrupted branch
+/// `A(t) = W^(p−1)(L−t)` and the completed branch
+/// `B(t) = (t−Q) + W^(p)(L−t)`. Rows are monotone and 1-Lipschitz by
+/// representation, so `A` is nonincreasing and `B` nondecreasing in `t`,
+/// and a binary search finds the crossing; periods `t ≤ Q` bank nothing
+/// and never beat `W^(p)(L−1)`. It shares no code with either builder.
+/// If level `p−1` is right, checking every `L` of level `p` proves it; a
+/// sample is seeded evidence at any size. Returns the first failing
+/// point.
+pub fn certify(table: &CompressedTable, points: &[Point]) -> Result<(), Point> {
+    let q = table.grid().q();
+    let w = |p: u32, l: i64| table.value_ticks(p, l);
+    for &(p, l) in points {
+        let want = if p == 0 {
+            (l - q).max(0)
+        } else if l == 0 {
+            0
+        } else {
+            let a = |t: i64| w(p - 1, l - t);
+            let b = |t: i64| (t - q) + w(p, l - t);
+            // The last t ∈ [Q+1, L] with B(t) ≤ A(t); `Q` when none.
+            let (mut lo, mut hi) = (q, l);
+            while lo < hi {
+                let mid = lo + (hi - lo + 1) / 2;
+                if b(mid) <= a(mid) {
+                    lo = mid;
+                } else {
+                    hi = mid - 1;
+                }
+            }
+            let mut best = w(p, l - 1);
+            for t in [lo, lo + 1] {
+                if (q + 1..=l).contains(&t) {
+                    best = best.max(a(t).min(b(t)));
+                }
+            }
+            best
+        };
+        if w(p, l) != want {
+            return Err((p, l));
+        }
+    }
+    Ok(())
+}
+
+/// The certificate's point sets for `table`, on every level:
+/// - every tick of the zero-region edges, `L ≤ (p+2)·Q`;
+/// - both ends of every stored run descriptor, where the builder changes
+///   regime, and the ticks on either side of each end;
+/// - `sample` lifespans drawn uniformly from `1..=max_ticks` by a
+///   SplitMix64 stream seeded with `seed`.
+pub fn certificate_points(table: &CompressedTable, sample: usize, seed: u64) -> Vec<Point> {
+    let q = table.grid().q();
+    let n = table.max_ticks();
+    let mut points = Vec::new();
+    let mut state = seed;
+    for (p, row) in table.to_parts().rows.iter().enumerate() {
+        let p = p as u32;
+        points.extend((0..=((i64::from(p) + 2) * q).min(n)).map(|l| (p, l)));
+        let mut res = row.residuals.iter();
+        for run in &row.runs {
+            // A run's flats are `start + (j·step_fx >> 16) + res_j`.
+            let j = i64::from(run.len) - 1;
+            let mut last = run.start + ((j * run.step_fx) >> 16);
+            if run.has_residuals {
+                last += i64::from(*res.nth(run.len as usize - 1).expect("residual per flat"));
+            }
+            for l in [
+                run.start - 1,
+                run.start,
+                run.start + 1,
+                last - 1,
+                last,
+                last + 1,
+            ] {
+                if (0..=n).contains(&l) {
+                    points.push((p, l));
+                }
+            }
+        }
+        for _ in 0..sample {
+            // SplitMix64.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            if n > 0 {
+                points.push((p, 1 + (z % n as u64) as i64));
+            }
+        }
+    }
+    points
 }

@@ -120,8 +120,11 @@ pub const OP_SWEEP: u8 = 3;
 pub const OP_METRICS: u8 = 4;
 
 /// Most run descriptors one sweep response can carry and still fit a
-/// frame (24 B per run after status + run_count). The broker rejects
-/// wider sweeps as non-retryable before solving.
+/// frame (24 B per run after status + run_count). The TCP server checks
+/// it in `handle_request`, after `Broker::serve` has solved the covering
+/// table and built the runs, and answers a wider sweep with a
+/// non-retryable invalid-query error instead of encoding it. An
+/// in-process `Broker::serve` call is not capped.
 pub const MAX_SWEEP_RUNS: usize = (MAX_FRAME_BYTES as usize - 5) / 24;
 
 /// Response status: success.
