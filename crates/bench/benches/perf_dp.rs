@@ -8,8 +8,10 @@
 //! build of the run-backed table, its deterministic structure counters
 //! (`event_count`, `event_driven_breakpoints`,
 //! `run_compressed_breakpoints` ≤ 0.2× the logical breakpoints,
-//! `run_memory_bytes`), the warm start that replaces it, and the
-//! serving and batch-simulation throughput on top.
+//! `run_memory_bytes`, and the events split by kind as `events_<kind>`),
+//! the warm start that replaces it, and the serving and
+//! batch-simulation throughput on top. The batch simulation runs first,
+//! so no earlier solve shapes the heap it allocates in.
 //!
 //! Quick mode (`CRITERION_QUICK=1` or `--quick`) is the CI smoke
 //! configuration: single-run measurements (`runs_per_measurement: 1`,
@@ -22,6 +24,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cyclesteal_core::prelude::*;
+use cyclesteal_dp::event::EVENT_KINDS;
 use cyclesteal_dp::{
     evaluate_policy, evaluate_policy_compressed, CompressedEvalOptions, CompressedTable,
     EvalOptions, SolveConfig, TableCache,
@@ -184,12 +187,64 @@ fn acceptance_report(c: &mut Criterion) {
     let runs = if quick { 1 } else { 3 };
     let deep_u = secs(ACCEPT_EVENT_TICKS as f64 / ACCEPT_Q as f64);
 
+    // Population-scale batch simulation: 10⁶ seeded episodes of the
+    // table-driven optimal borrower against the Poisson owner, on the
+    // struct-of-arrays BatchSim. The same batch is run once at a single
+    // worker and asserted bit-identical to the threaded run (the
+    // acceptance criterion), then timed threaded. It runs before the
+    // 10⁹-tick solve, whose heap layout otherwise moves its rate ~10%.
+    let (sim_episodes_per_s, sim_batch_episodes, sim_batch_threads) = {
+        use now_sim::{BatchAdversary, BatchConfig, BatchSim};
+        let sim_l_ticks = 4_096i64;
+        let sim_p = 3u32;
+        let sim_table = std::sync::Arc::new(CompressedTable::solve_event_driven(
+            secs(1.0),
+            ACCEPT_Q,
+            secs(sim_l_ticks as f64 / ACCEPT_Q as f64),
+            sim_p,
+        ));
+        let episodes = 1_000_000usize;
+        let mk = |threads: usize| {
+            BatchSim::new(BatchConfig {
+                table: sim_table.clone(),
+                lifespan_ticks: sim_l_ticks,
+                interrupts: sim_p,
+                episodes,
+                seed: 0xBA7C4,
+                adversary: BatchAdversary::Poisson {
+                    mean_gap_ticks: 256.0,
+                },
+                block: 0,
+                threads,
+            })
+            .run()
+        };
+        let (sim_s, threaded) = time_median(runs, || mk(0));
+        let sequential = mk(1);
+        assert_eq!(
+            sequential, threaded,
+            "batch reports must be bit-identical at 1 vs N threads"
+        );
+        assert_eq!(
+            threaded.violations, 0,
+            "guarantee violated at the bench point"
+        );
+        (
+            episodes as f64 / sim_s,
+            episodes,
+            cyclesteal_par::default_threads(),
+        )
+    };
+
     // The production solve at the deep point; the last timed build
     // doubles as the stats source.
     let (run_s, deep) = time_median(runs, || {
         CompressedTable::solve_event_driven(secs(1.0), ACCEPT_Q, deep_u, ACCEPT_P)
     });
     let event_count = deep.events();
+    let event_kinds = deep
+        .events_by_kind()
+        .expect("the event-driven build counts events by kind");
     let deep_breakpoints: usize = (0..=ACCEPT_P).map(|p| deep.breakpoints(p)).sum();
     let run_breakpoints: usize = (0..=ACCEPT_P).map(|p| deep.stored_breakpoints(p)).sum();
     let run_bytes = deep.memory_bytes();
@@ -347,59 +402,20 @@ fn acceptance_report(c: &mut Criterion) {
         (qps, p99_us)
     };
 
-    // Population-scale batch simulation: 10⁶ seeded episodes of the
-    // table-driven optimal borrower against the Poisson owner, on the
-    // struct-of-arrays BatchSim. The same batch is run once at a single
-    // worker and asserted bit-identical to the threaded run (the
-    // acceptance criterion), then timed threaded.
-    let (sim_episodes_per_s, sim_batch_episodes, sim_batch_threads) = {
-        use now_sim::{BatchAdversary, BatchConfig, BatchSim};
-        let sim_l_ticks = 4_096i64;
-        let sim_p = 3u32;
-        let sim_table = std::sync::Arc::new(CompressedTable::solve_event_driven(
-            secs(1.0),
-            ACCEPT_Q,
-            secs(sim_l_ticks as f64 / ACCEPT_Q as f64),
-            sim_p,
-        ));
-        let episodes = 1_000_000usize;
-        let mk = |threads: usize| {
-            BatchSim::new(BatchConfig {
-                table: sim_table.clone(),
-                lifespan_ticks: sim_l_ticks,
-                interrupts: sim_p,
-                episodes,
-                seed: 0xBA7C4,
-                adversary: BatchAdversary::Poisson {
-                    mean_gap_ticks: 256.0,
-                },
-                block: 0,
-                threads,
-            })
-            .run()
-        };
-        let (sim_s, threaded) = time_median(runs, || mk(0));
-        let sequential = mk(1);
-        assert_eq!(
-            sequential, threaded,
-            "batch reports must be bit-identical at 1 vs N threads"
-        );
-        assert_eq!(
-            threaded.violations, 0,
-            "guarantee violated at the bench point"
-        );
-        (
-            episodes as f64 / sim_s,
-            episodes,
-            cyclesteal_par::default_threads(),
-        )
-    };
-
     println!(
         "\n=== perf_dp acceptance (Q={ACCEPT_Q}, p={ACCEPT_P}, L={ACCEPT_EVENT_TICKS} ticks) ==="
     );
     println!(
         "event-driven solve   : {run_s:.3} s ({event_count} events, {deep_breakpoints} breakpoints stored as {run_breakpoints} run descriptors = {run_k_ratio:.4}×, target ≤ 0.2×; {run_bytes} B)"
+    );
+    println!(
+        "events by kind       : {}",
+        EVENT_KINDS
+            .iter()
+            .zip(event_kinds)
+            .map(|(kind, n)| format!("{kind} {n}"))
+            .collect::<Vec<_>>()
+            .join(", ")
     );
     println!(
         "warm start           : {warm_s:.3} s snapshot-load + first query ({warm_speedup:.1}× vs cold solve, target ≥ 10×)"
@@ -418,12 +434,19 @@ fn acceptance_report(c: &mut Criterion) {
         "batch simulation     : {sim_episodes_per_s:.0} episodes/s ({sim_batch_episodes} seeded episodes at {sim_batch_threads} threads, bit-identical to 1 thread)"
     );
 
+    let kind_fields = EVENT_KINDS
+        .iter()
+        .zip(event_kinds)
+        .map(|(kind, n)| format!("\"events_{kind}\": {n}"))
+        .collect::<Vec<_>>()
+        .join(",\n  ");
     let fields = [
         format!("\"quick_mode\": {quick}"),
         format!("\"runs_per_measurement\": {runs}"),
         format!("\"event_driven_lifespan_ticks\": {ACCEPT_EVENT_TICKS}"),
         format!("\"event_count\": {event_count}"),
         format!("\"event_driven_breakpoints\": {deep_breakpoints}"),
+        kind_fields,
         format!("\"run_compressed_solve_s\": {run_s:.6}"),
         format!("\"run_compressed_breakpoints\": {run_breakpoints}"),
         format!("\"run_memory_bytes\": {run_bytes}"),

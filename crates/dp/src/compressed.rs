@@ -26,7 +26,7 @@
 //! * [`CompressedTable::solve_event_driven`] — the production build
 //!   ([`crate::event`]): between breakpoints every sweep quantity is
 //!   linear in `L`, so the builder jumps event to event in
-//!   `O(p·k log k)` time, reading each previous level as the flat runs
+//!   `O(p·k)` time, reading each previous level as the flat ticks
 //!   it was just built in and compressing each level once complete.
 //!   The cache, store, sim and serving layers all solve through it.
 //! * [`CompressedTable::solve`] — the independent **tick-walking
@@ -69,7 +69,7 @@
 //! `O(m log L log k)` per reconstruction and zero bytes of policy
 //! storage.
 
-use crate::event::{build_level_events, BuildRow};
+use crate::event::{build_level_events, BuildRow, EventCounts, EVENT_KIND_COUNT};
 use crate::grid::Grid;
 use crate::profile::{time_opt, Phase, PhaseRecorder};
 use crate::run::{RunCursor, RunRow};
@@ -286,11 +286,12 @@ pub(crate) fn walk_level(prev: &CompressedRow, n: i64, q: i64) -> (i64, Vec<i64>
 /// rows: `O(p·k)` memory with `k ≪ L`.
 ///
 /// Equality is **structural**: two tables compare equal only when every
-/// field — grid, extent, event count and each row's stored runs —
-/// matches exactly. This is the bit-identical round-trip contract of
-/// the persistence layer (`from_parts(to_parts(t)) == t`, see
-/// [`crate::snapshot`]).
-#[derive(Clone, Debug, PartialEq)]
+/// persisted field — grid, extent, event count and each row's stored
+/// runs — matches exactly. This is the bit-identical round-trip contract
+/// of the persistence layer (`from_parts(to_parts(t)) == t`, see
+/// [`crate::snapshot`]). The per-kind event split is a build diagnostic
+/// that is not persisted, so equality ignores it.
+#[derive(Clone, Debug)]
 pub struct CompressedTable {
     pub(crate) grid: Grid,
     pub(crate) max_ticks: i64,
@@ -300,6 +301,18 @@ pub struct CompressedTable {
     /// tick-walking build, one per breakpoint event for the event-driven
     /// build (see [`Self::events`]).
     pub(crate) events: u64,
+    /// The event build's `events` per kind (see [`Self::events_by_kind`]).
+    pub(crate) event_kinds: Option<EventCounts>,
+}
+
+impl PartialEq for CompressedTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.grid == other.grid
+            && self.max_ticks == other.max_ticks
+            && self.max_interrupts == other.max_interrupts
+            && self.rows == other.rows
+            && self.events == other.events
+    }
 }
 
 impl CompressedTable {
@@ -360,7 +373,7 @@ impl CompressedTable {
 
     /// The production solve: the same rows as [`Self::solve`], built by
     /// the event-driven (run-skipping) builder of [`crate::event`] in
-    /// `O(p·k log k)` time, `k` = breakpoints.
+    /// `O(p·k)` time, `k` = breakpoints.
     pub fn solve_event_driven(
         setup: Time,
         ticks_per_setup: u32,
@@ -411,26 +424,27 @@ impl CompressedTable {
         let n = grid.to_ticks(max_lifespan).max(0);
         let q = grid.q();
         let mut rows = Vec::with_capacity(max_interrupts as usize + 1);
-        let mut events: u64 = 0;
+        let mut kinds: EventCounts = [0; EVENT_KIND_COUNT];
         // Level 0: W^(0)(l) = l ⊖ Q — a pure zero region, no flats after.
         rows.push(CompressedRow::empty(q.min(n)));
-        // The event build reads level p−1 as the flat runs it was built
+        // The event build reads level p−1 as the flat ticks it was built
         // in, never by decoding its compressed row.
         let mut prev = BuildRow::empty(q.min(n));
         for _p in 1..=max_interrupts {
             let row = if event_driven {
-                let (level, level_events) =
+                let (level, level_kinds) =
                     time_opt(prof, Phase::EventLoop, || build_level_events(&prev, n, q));
-                events += level_events;
+                for (total, k) in kinds.iter_mut().zip(level_kinds) {
+                    *total += k;
+                }
                 prev = level;
                 time_opt(prof, Phase::RunCompression, || prev.compress())
             } else {
-                events += n.max(0) as u64;
                 let prev_row = rows.last().expect("level p−1 present");
                 let (zero_until, flats) =
                     time_opt(prof, Phase::SkeletonBuild, || walk_level(prev_row, n, q));
                 time_opt(prof, Phase::RunCompression, || {
-                    BuildRow::from_ticks(zero_until, &flats).compress()
+                    BuildRow { zero_until, flats }.compress()
                 })
             };
             rows.push(row);
@@ -441,7 +455,12 @@ impl CompressedTable {
             max_ticks: n,
             max_interrupts,
             rows,
-            events,
+            events: if event_driven {
+                kinds.iter().sum()
+            } else {
+                u64::from(max_interrupts) * n as u64
+            },
+            event_kinds: event_driven.then_some(kinds),
         }
     }
 
@@ -451,6 +470,15 @@ impl CompressedTable {
     /// `perf_dp` bench reports this as `event_count`.
     pub fn events(&self) -> u64 {
         self.events
+    }
+
+    /// The event-driven build's [`Self::events`] split by kind, indexed
+    /// like [`EVENT_KINDS`](crate::event::EVENT_KINDS); the kinds sum to
+    /// [`Self::events`]. `None` for the tick-walking build and for a
+    /// table rebuilt by [`Self::from_parts`], which persists only the
+    /// total.
+    pub fn events_by_kind(&self) -> Option<EventCounts> {
+        self.event_kinds
     }
 
     /// The grid the table was solved on.
@@ -892,7 +920,28 @@ mod tests {
             let jumped = table(q, max_u, p);
             assert_eq!(walked.rows, jumped.rows, "rows differ at q={q}, p={p}");
             assert_eq!(walked.events(), p as u64 * walked.max_ticks() as u64);
+            assert_eq!(walked.events_by_kind(), None);
         }
+    }
+
+    /// The event build's per-kind counts sum to its total, and at the
+    /// perfbench cold size `(Q=16, p=6, 15k ticks)` they are pinned in
+    /// the order of `EVENT_KINDS`: zero prefix, stall, lockstep, cap,
+    /// own-flat onset, prev-flat onset, single tick.
+    #[test]
+    fn event_kinds_sum_to_events_and_are_pinned_at_the_cold_size() {
+        for (q, max_u, p) in [(1u32, 300.0, 5u32), (4, 500.0, 4), (32, 2_000.0, 8)] {
+            let t = table(q, max_u, p);
+            let kinds = t.events_by_kind().expect("event build counts kinds");
+            assert_eq!(kinds.iter().sum::<u64>(), t.events(), "q={q}, p={p}");
+        }
+        let cold = table(16, 937.5, 6);
+        assert_eq!(cold.max_ticks(), 15_000);
+        assert_eq!(
+            cold.events_by_kind(),
+            Some([6, 1_294, 10_407, 0, 6_097, 4_107, 3_766])
+        );
+        assert_eq!(cold.events(), 25_677);
     }
 
     #[test]

@@ -37,32 +37,43 @@
 //! where no linear span applies fall back to an exact single-tick
 //! transcription of the frontier sweep.
 //!
-//! ## Emitting runs, not flat lists
+//! ## One flat list per level
 //!
-//! The row under construction is kept as **run-length-encoded flat
-//! runs** (`FlatRun`): a stall of `d` ticks contributes one run
-//! descriptor in `O(1)` instead of `d` vector pushes, and the builder's
-//! own reads of the partial row go through a forward-only `BlockCursor`
-//! (rank, membership, next-flat and second-next-flat queries, each
-//! `O(1)` amortized). A completed level keeps those runs: the next
-//! level reads its previous level through a second `BlockCursor` over
-//! them, so no read ever decodes an arithmetic run. Each level's runs
-//! also feed straight into the second-order compressor of
-//! [`crate::run`] **without ever materializing a per-breakpoint list**;
-//! the compressed row is what the table stores.
+//! Each level is kept as one sorted `Vec<i64>` of its flat ticks past
+//! the zero edge (`BuildRow`). The builder's reads of the row under
+//! construction, and the next level's reads of the completed row, go
+//! through a forward-only `FlatCursor`: a single index, the number of
+//! flats `≤` the latest query position, from which rank, membership,
+//! next-flat and second-next-flat are each one slice read, `O(1)`
+//! amortized. No read ever decodes an arithmetic run. Each completed
+//! level feeds the second-order compressor of [`crate::run`] as the same
+//! slice; the compressed row is what the table stores.
 //!
 //! ## Cost
 //!
 //! All row reads go through cursors that only move forward (`s*` and the
 //! sweep window are monotone in `l`), so each event costs `O(1)`
-//! amortized — the `log k` is the rank re-synchronization a cursor pays
-//! when a span jumps it. Event counts are `O(k)` flat-driven events plus
+//! amortized. Event counts are `O(k)` flat-driven events plus
 //! `O(L / t̄)` lockstep windows (`t̄` = the current optimal period length,
 //! which bounds how far reads may run ahead of the determined prefix) —
-//! `O(p·k log k)` overall for all levels, with `k = O(√(QL) + pQ) ≪ L`.
-//! A `(Q=32, p=16, L=10^9)` table builds in under a second where the
-//! tick walk would take minutes and a dense arena would need tens of
-//! gigabytes.
+//! `O(p·k)` overall for all levels, with `k = O(√(QL) + pQ) ≪ L`. A span
+//! pushes the flats it cuts one by one, so emitting a level is `O(k)` as
+//! well — the same order as the compressor's single pass over the
+//! level's flats. No span measured has cut more than one flat (tables
+//! from `Q = 1` to `Q = 2^20`, up to `10^9` ticks): spans skip slope-1
+//! growth, not flat stretches, so a level holds at most two flats per
+//! event and its list stays within the event count's order at any `Q`
+//! (`levels_match_tick_walk_exactly` pins that bound). A `(Q=32, p=16,
+//! L=10^9)` table builds in under two seconds where the tick walk would
+//! take minutes and a dense arena would need tens of gigabytes.
+//!
+//! ## Event kinds
+//!
+//! The builder counts its events by kind, in the order of
+//! [`EVENT_KINDS`]: the zero-prefix step, stall spans, lockstep spans,
+//! cap spans, the two `O(1)` flat-onset transitions (own-row flat and
+//! previous-level flat) and the single-tick fallback. The counts sum to
+//! the level's event total.
 //!
 //! ## Exactness
 //!
@@ -76,25 +87,47 @@
 //! which `tests/equivalence_props.rs` pins down over randomized setups.
 
 use crate::compressed::CompressedRow;
-use crate::run::{FlatRun, RunRow};
+use crate::run::RunRow;
 
 /// Sentinel for "no flat tick ahead" — large enough to never constrain a
 /// span, small enough to never overflow the arithmetic around it.
 const NO_FLAT: i64 = i64::MAX / 4;
 
-/// One level as run-length-encoded flat ticks past its zero-region
-/// prefix: the row under construction, and — once complete — the next
-/// level's input, read through a `BlockCursor`. [`Self::compress`] turns
-/// a complete level into its stored form.
-#[derive(Debug, Default)]
+/// Number of event kinds the event-driven builder distinguishes.
+pub const EVENT_KIND_COUNT: usize = 7;
+
+/// The builder's event kinds, in counter order (see the module docs).
+pub const EVENT_KINDS: [&str; EVENT_KIND_COUNT] = [
+    "zero_prefix",
+    "stall",
+    "lockstep",
+    "cap",
+    "own_flat_onset",
+    "prev_flat_onset",
+    "single_tick",
+];
+
+/// Events of one build, per kind, indexed like [`EVENT_KINDS`].
+pub type EventCounts = [u64; EVENT_KIND_COUNT];
+
+const ZERO_PREFIX: usize = 0;
+const STALL: usize = 1;
+const LOCKSTEP: usize = 2;
+const CAP: usize = 3;
+const OWN_FLAT_ONSET: usize = 4;
+const PREV_FLAT_ONSET: usize = 5;
+const SINGLE_TICK: usize = 6;
+
+/// One level as its sorted flat ticks past its zero-region prefix: the
+/// row under construction, and — once complete — the next level's
+/// input, read through a [`FlatCursor`]. [`Self::compress`] turns a
+/// complete level into its stored form.
+#[derive(Debug)]
 pub(crate) struct BuildRow {
     /// Largest `l` with `W(l) = 0` so far.
     pub(crate) zero_until: i64,
-    /// Flat runs, sorted, disjoint, never adjacent (adjacent appends are
-    /// merged on push).
-    pub(crate) runs: Vec<FlatRun>,
-    /// Total flat ticks across `runs`.
-    count: i64,
+    /// Flat ticks past `zero_until`, strictly increasing.
+    pub(crate) flats: Vec<i64>,
 }
 
 impl BuildRow {
@@ -102,114 +135,60 @@ impl BuildRow {
     pub(crate) fn empty(zero_until: i64) -> BuildRow {
         BuildRow {
             zero_until,
-            ..BuildRow::default()
+            flats: Vec::new(),
         }
     }
 
-    /// The row whose flat ticks past `zero_until` are `ticks` (strictly
-    /// increasing): how a tick-walked level reaches the compressor.
-    pub(crate) fn from_ticks(zero_until: i64, ticks: &[i64]) -> BuildRow {
-        let mut row = BuildRow::empty(zero_until);
-        for &t in ticks {
-            row.push_flat(t);
-        }
-        row
-    }
-
-    /// The level's stored form: its flat runs fed straight into the
-    /// second-order compressor, with no per-flat list in between.
+    /// The level's stored form: its flat ticks fed straight into the
+    /// second-order compressor.
     pub(crate) fn compress(&self) -> CompressedRow {
         CompressedRow {
             zero_until: self.zero_until,
-            runs: RunRow::compress(&self.runs),
+            runs: RunRow::compress(&self.flats),
         }
-    }
-
-    /// Appends the flat run `start..start+len`, merging with the last run
-    /// when contiguous. Positions only ever grow, so append-or-merge is
-    /// complete.
-    #[inline]
-    fn push_run(&mut self, start: i64, len: i64) {
-        debug_assert!(len >= 1);
-        match self.runs.last_mut() {
-            Some(r) if r.start + r.len == start => r.len += len,
-            _ => self.runs.push(FlatRun { start, len }),
-        }
-        self.count += len;
-    }
-
-    /// Appends a single flat tick.
-    #[inline]
-    fn push_flat(&mut self, pos: i64) {
-        self.push_run(pos, 1);
     }
 }
 
-/// Forward-only reader over a [`BuildRow`]'s runs: rank (`#flats ≤ pos`),
-/// flat-membership and next-flat queries in `O(1)` amortized, for query
-/// positions that never decrease (the sweep residual `s` is monotone in
-/// `l`).
+/// Forward-only reader over a sorted flat-tick slice: rank (`#flats ≤
+/// pos`), flat-membership and next-flat queries in `O(1)` amortized, for
+/// query positions that never decrease (the sweep residual `s` is
+/// monotone in `l`).
 #[derive(Clone, Copy, Debug, Default)]
-struct BlockCursor {
-    /// First run whose last flat is ≥ the latest query position.
+struct FlatCursor {
+    /// `#flats ≤` the latest query position.
     idx: usize,
-    /// Total flats in `runs[..idx]`.
-    before: i64,
 }
 
-impl BlockCursor {
+impl FlatCursor {
     /// `#flats ≤ pos`. Also positions the cursor for the other queries at
     /// the same `pos`.
     #[inline]
-    fn rank(&mut self, runs: &[FlatRun], pos: i64) -> i64 {
-        while self.idx < runs.len() && runs[self.idx].start + runs[self.idx].len - 1 < pos {
-            self.before += runs[self.idx].len;
+    fn rank(&mut self, flats: &[i64], pos: i64) -> i64 {
+        while self.idx < flats.len() && flats[self.idx] <= pos {
             self.idx += 1;
         }
-        match runs.get(self.idx) {
-            Some(r) if r.start <= pos => self.before + (pos - r.start + 1),
-            _ => self.before,
-        }
+        self.idx as i64
     }
 
     /// Whether `pos` itself is a flat tick. Only valid immediately after
     /// [`Self::rank`] was called with the same `pos`.
     #[inline]
-    fn is_flat(&self, runs: &[FlatRun], pos: i64) -> bool {
-        matches!(runs.get(self.idx), Some(r) if r.start <= pos)
+    fn is_flat(&self, flats: &[i64], pos: i64) -> bool {
+        self.idx > 0 && flats[self.idx - 1] == pos
     }
 
-    /// The smallest flat tick strictly greater than `pos` and the index
-    /// of its run, or `None`. Only valid immediately after
-    /// [`Self::rank`] was called with the same `pos`.
+    /// The smallest flat tick past the last [`Self::rank`] position, or
+    /// [`NO_FLAT`].
     #[inline]
-    fn first_after(&self, runs: &[FlatRun], pos: i64) -> Option<(i64, usize)> {
-        match runs.get(self.idx) {
-            Some(r) if r.start > pos => Some((r.start, self.idx)),
-            Some(r) if r.start + r.len - 1 > pos => Some((pos + 1, self.idx)),
-            Some(_) => runs.get(self.idx + 1).map(|r2| (r2.start, self.idx + 1)),
-            None => None,
-        }
+    fn next_after(&self, flats: &[i64]) -> i64 {
+        flats.get(self.idx).copied().unwrap_or(NO_FLAT)
     }
 
-    /// The smallest flat tick strictly greater than `pos`, or [`NO_FLAT`].
-    /// Only valid immediately after [`Self::rank`] was called with the
-    /// same `pos`.
+    /// The second-smallest flat tick past the last [`Self::rank`]
+    /// position, or [`NO_FLAT`].
     #[inline]
-    fn next_after(&self, runs: &[FlatRun], pos: i64) -> i64 {
-        self.first_after(runs, pos).map_or(NO_FLAT, |(f, _)| f)
-    }
-
-    /// The second-smallest flat tick strictly greater than `pos`, or
-    /// [`NO_FLAT`]. Only valid immediately after [`Self::rank`] was called
-    /// with the same `pos`.
-    #[inline]
-    fn next2_after(&self, runs: &[FlatRun], pos: i64) -> i64 {
-        match self.first_after(runs, pos) {
-            Some((f, i)) if f + 1 < runs[i].start + runs[i].len => f + 1,
-            Some((_, i)) => runs.get(i + 1).map_or(NO_FLAT, |r| r.start),
-            None => NO_FLAT,
-        }
+    fn next2_after(&self, flats: &[i64]) -> i64 {
+        flats.get(self.idx + 1).copied().unwrap_or(NO_FLAT)
     }
 }
 
@@ -229,17 +208,20 @@ fn val(zero: i64, rank_le: i64, x: i64) -> i64 {
 /// tick where no linear span is provable: zero-region edges, flat
 /// crossings, cap transitions. `pc` is the forward-only cursor into the
 /// completed previous level `prev`; `rc` serves the same queries against
-/// the row under construction.
+/// the row under construction. Kept out of line so the event loop's span
+/// and onset paths stay compact: inlined, the `(Q=16, p=6, 15k ticks)`
+/// solve ran ~4% slower on a 2-vCPU x86 box.
 #[allow(clippy::too_many_arguments)]
+#[inline(never)]
 fn single_step(
     prev: &BuildRow,
-    pc: &mut BlockCursor,
+    pc: &mut FlatCursor,
     cur: &mut BuildRow,
     l: &mut i64,
     last: &mut i64,
     s: &mut i64,
     q: i64,
-    rc: &mut BlockCursor,
+    rc: &mut FlatCursor,
 ) {
     let pz = prev.zero_until;
     let lt = *l + 1;
@@ -247,8 +229,8 @@ fn single_step(
     if lt > q {
         let tau = lt - q;
         let s_cap = tau - 1;
-        let mut c1 = rc.rank(&cur.runs, *s + 1);
-        let mut p1 = pc.rank(&prev.runs, *s + 1);
+        let mut c1 = rc.rank(&cur.flats, *s + 1);
+        let mut p1 = pc.rank(&prev.flats, *s + 1);
         loop {
             if *s >= s_cap {
                 break;
@@ -256,15 +238,15 @@ fn single_step(
             let h = (*s + 1) + val(pz, p1, *s + 1) - val(cur.zero_until, c1, *s + 1);
             if h <= tau {
                 *s += 1;
-                c1 = rc.rank(&cur.runs, *s + 1);
-                p1 = pc.rank(&prev.runs, *s + 1);
+                c1 = rc.rank(&cur.flats, *s + 1);
+                p1 = pc.rank(&prev.flats, *s + 1);
             } else {
                 break;
             }
         }
         let sf = *s;
-        let rp0 = p1 - i64::from(pc.is_flat(&prev.runs, sf + 1));
-        let rc0 = c1 - i64::from(rc.is_flat(&cur.runs, sf + 1));
+        let rp0 = p1 - i64::from(pc.is_flat(&prev.flats, sf + 1));
+        let rc0 = c1 - i64::from(rc.is_flat(&cur.flats, sf + 1));
         let cz = cur.zero_until;
         let t_star = lt - sf;
         let v_star = val(pz, rp0, sf).min((t_star - q) + val(cz, rc0, sf));
@@ -283,7 +265,8 @@ fn single_step(
 
 /// Applies one linear span of `delta` ticks whose output is
 /// `out(l + j) = max(last, c + j)`: a (possibly empty) run of flat ticks
-/// while `c + j ≤ last`, then pure slope-1 growth skipped in `O(1)`.
+/// while `c + j ≤ last`, pushed one by one, then pure slope-1 growth
+/// skipped in `O(1)`.
 /// Requires `c ≤ last` (checked by the caller against the sweep
 /// invariants).
 #[inline]
@@ -295,7 +278,7 @@ fn emit_span(cur: &mut BuildRow, l: &mut i64, last: &mut i64, delta: i64, c: i64
             // Still inside the zero region: extend it, don't store flats.
             cur.zero_until = *l + j_cut;
         } else {
-            cur.push_run(*l + 1, j_cut);
+            cur.flats.extend(*l + 1..*l + 1 + j_cut);
         }
     }
     *last = (*last).max(c + delta);
@@ -316,31 +299,33 @@ fn emit_tick(cur: &mut BuildRow, l: &mut i64, last: &mut i64, best: i64) {
     if best == 0 {
         cur.zero_until = *l + 1;
     } else if inc == 0 {
-        cur.push_flat(*l + 1);
+        cur.flats.push(*l + 1);
     }
     *last = best;
     *l += 1;
 }
 
 /// Builds level `p` from the completed level `p−1` by event jumps.
-/// Returns the level's flat runs and the number of events (loop
-/// iterations — span applications plus boundary single-steps) taken.
-pub(crate) fn build_level_events(prev: &BuildRow, n: i64, q: i64) -> (BuildRow, u64) {
+/// Returns the level's flat ticks and the events (loop iterations —
+/// span applications, flat onsets and boundary single-steps) taken, per
+/// kind.
+pub(crate) fn build_level_events(prev: &BuildRow, n: i64, q: i64) -> (BuildRow, EventCounts) {
     let pz = prev.zero_until;
-    let mut cur = BuildRow::default();
-    // Level p's loss exceeds level p−1's by roughly one period's worth,
-    // but runs compress consecutive flats; a modest seed avoids the first
-    // few doubling-and-copy rounds without over-reserving.
-    cur.runs.reserve(prev.count as usize / 8 + 32);
+    // A level's flat count changes slowly with p, so sizing the row like
+    // level p−1 leaves it about one doubling, not a dozen, from its end.
+    let mut cur = BuildRow {
+        zero_until: 0,
+        flats: Vec::with_capacity(prev.flats.len()),
+    };
     let mut l: i64 = 0; // last computed tick
     let mut last: i64 = 0; // W^(p)(l)
     let mut s: i64 = 0; // crossing residual s*, nondecreasing in l
-    let mut events: u64 = 0;
-    // Forward-only cursors at position s+1 over the flat runs of the
+    let mut events: EventCounts = [0; EVENT_KIND_COUNT];
+    // Forward-only cursors at position s+1 over the flats of the
     // previous level (`pc`) and of the row under construction (`rc`).
-    // `s` never retreats, so each cursor crosses each run once per level.
-    let mut pc = BlockCursor::default();
-    let mut rc = BlockCursor::default();
+    // `s` never retreats, so each cursor passes each flat once per level.
+    let mut pc = FlatCursor::default();
+    let mut rc = FlatCursor::default();
 
     // Ticks 1..=Q carry no productive period and a zero wait-chain: the
     // whole prefix is zero region, in one event.
@@ -348,13 +333,12 @@ pub(crate) fn build_level_events(prev: &BuildRow, n: i64, q: i64) -> (BuildRow, 
         let z = q.min(n);
         cur.zero_until = z;
         l = z;
-        events += 1;
+        events[ZERO_PREFIX] += 1;
     }
 
     while l < n {
-        events += 1;
-        let prank1 = pc.rank(&prev.runs, s + 1);
-        let crank1 = rc.rank(&cur.runs, s + 1);
+        let prank1 = pc.rank(&prev.flats, s + 1);
+        let crank1 = rc.rank(&cur.flats, s + 1);
 
         // The span formulas difference the rows across the sweep window;
         // inside either zero region the slopes differ — single-step until
@@ -365,7 +349,7 @@ pub(crate) fn build_level_events(prev: &BuildRow, n: i64, q: i64) -> (BuildRow, 
             let p1 = val(pz, prank1, s + 1);
             let c1 = val(cz, crank1, s + 1);
             let d = (s + 1) + p1 - c1 - tau;
-            let s1_is_pflat = pc.is_flat(&prev.runs, s + 1);
+            let s1_is_pflat = pc.is_flat(&prev.flats, s + 1);
             let a0 = val(pz, prank1 - i64::from(s1_is_pflat), s);
 
             if d >= 2 {
@@ -377,6 +361,7 @@ pub(crate) fn build_level_events(prev: &BuildRow, n: i64, q: i64) -> (BuildRow, 
                 if a0 <= last && b0 <= last {
                     let delta = (d - 1).min(n - l);
                     emit_span(&mut cur, &mut l, &mut last, delta, b0);
+                    events[STALL] += 1;
                     continue;
                 }
             } else {
@@ -388,26 +373,26 @@ pub(crate) fn build_level_events(prev: &BuildRow, n: i64, q: i64) -> (BuildRow, 
                 let np = if s1_is_pflat {
                     s + 1
                 } else {
-                    pc.next_after(&prev.runs, s + 1)
+                    pc.next_after(&prev.flats)
                 };
-                let nc = rc.next_after(&cur.runs, s + 1);
+                let nc = rc.next_after(&cur.flats);
                 if d >= 1 || s == s_cap {
                     // Genericity horizons: no flat of either row may
                     // enter the sweep window (s, s+Δ+1], and reads of the
                     // row under construction must stay inside the prefix
                     // determined before this span (positions ≤ l).
                     let delta = (np - s - 2).min(nc - s - 2).min(l - s - 1).min(n - l);
-                    let c = if s == s_cap {
-                        // At the cap the period is pinned to Q+1 ticks
-                        // and the only candidate is the interrupted
-                        // branch A.
-                        a0
+                    // At the cap the period is pinned to Q+1 ticks and
+                    // the only candidate is the interrupted branch A.
+                    let (c, kind) = if s == s_cap {
+                        (a0, CAP)
                     } else {
-                        a0.max(tau - (s + 1) + c1)
+                        (a0.max(tau - (s + 1) + c1), LOCKSTEP)
                     };
                     if delta >= 1 && c <= last {
                         emit_span(&mut cur, &mut l, &mut last, delta, c);
                         s += delta;
+                        events[kind] += 1;
                         continue;
                     }
                 }
@@ -433,12 +418,13 @@ pub(crate) fn build_level_events(prev: &BuildRow, n: i64, q: i64) -> (BuildRow, 
                             emit_tick(&mut cur, &mut l, &mut last, best2);
                         }
                         s += 1;
+                        events[OWN_FLAT_ONSET] += 1;
                         continue;
                     }
                     // With np == s+2 the second prev flat past s+1 is the
                     // one after s+2; read it only then.
                     if np == s + 2
-                        && pc.next2_after(&prev.runs, s + 1) != s + 3
+                        && pc.next2_after(&prev.flats) != s + 3
                         && nc > s + 3
                         && s + 2 < tau
                     {
@@ -452,6 +438,7 @@ pub(crate) fn build_level_events(prev: &BuildRow, n: i64, q: i64) -> (BuildRow, 
                         let best = last.max(p1.max(b));
                         emit_tick(&mut cur, &mut l, &mut last, best);
                         s += 2;
+                        events[PREV_FLAT_ONSET] += 1;
                         continue;
                     }
                 }
@@ -461,6 +448,7 @@ pub(crate) fn build_level_events(prev: &BuildRow, n: i64, q: i64) -> (BuildRow, 
         single_step(
             prev, &mut pc, &mut cur, &mut l, &mut last, &mut s, q, &mut rc,
         );
+        events[SINGLE_TICK] += 1;
     }
 
     (cur, events)
@@ -473,16 +461,26 @@ mod tests {
 
     /// The event builder against the tick-walking builder, level by
     /// level, across resolutions that exercise stalls, cap pinning and
-    /// flat runs. (The randomized equivalence suite lives in
+    /// flat runs, including a coarse `Q` where periods are long. Each
+    /// level also keeps its flat list within two flats per event, the
+    /// bound that keeps a level's memory in the event count's order.
+    /// (The randomized equivalence suite lives in
     /// `tests/equivalence_props.rs`.)
     #[test]
     fn levels_match_tick_walk_exactly() {
-        for (q, n, p_max) in [(1i64, 400i64, 4u32), (4, 1000, 3), (16, 3000, 5), (7, 0, 2)] {
+        for (q, n, p_max) in [
+            (1i64, 400i64, 4u32),
+            (4, 1000, 3),
+            (16, 3000, 5),
+            (7, 0, 2),
+            (1024, 60_000, 3),
+        ] {
             let mut prev = BuildRow::empty(q.min(n));
             let mut prev_row = prev.compress();
             for p in 1..=p_max {
                 let (zero_until, flats) = walk_level(&prev_row, n, q);
-                let (level, events) = build_level_events(&prev, n, q);
+                let (level, kinds) = build_level_events(&prev, n, q);
+                let events: u64 = kinds.iter().sum();
                 let jumped = level.compress();
                 assert_eq!(
                     zero_until, jumped.zero_until,
@@ -499,6 +497,11 @@ mod tests {
                         "event build took {events} events for {n} ticks — not skipping"
                     );
                 }
+                assert!(
+                    level.flats.len() as u64 <= 2 * events,
+                    "{} flats from {events} events at q={q}, n={n}, p={p}",
+                    level.flats.len()
+                );
                 prev = level;
                 prev_row = jumped;
             }
@@ -511,7 +514,8 @@ mod tests {
     fn deep_lifespan_event_count_is_sublinear() {
         let n: i64 = 5_000_000;
         let q: i64 = 8;
-        let (level, events) = build_level_events(&BuildRow::empty(q), n, q);
+        let (level, kinds) = build_level_events(&BuildRow::empty(q), n, q);
+        let events: u64 = kinds.iter().sum();
         let row = level.compress();
         // k = O(√(QL)): ~9e3 here. Events track k, not L.
         assert!(
@@ -530,31 +534,30 @@ mod tests {
         );
     }
 
-    /// BlockCursor rank/membership/next/second-next queries against a brute-force
-    /// reference over irregular runs.
+    /// FlatCursor rank/membership/next/second-next queries against a
+    /// brute-force reference over irregular flats: isolated ticks, runs
+    /// of consecutive ticks and the end of the slice.
     #[test]
-    fn block_cursor_matches_bruteforce() {
-        let runs = [
-            FlatRun { start: 5, len: 3 },
-            FlatRun { start: 9, len: 1 },
-            FlatRun { start: 20, len: 10 },
-            FlatRun { start: 31, len: 2 },
-        ];
-        let flats: Vec<i64> = runs.iter().flat_map(|r| r.start..r.start + r.len).collect();
-        let mut cursor = BlockCursor::default();
+    fn flat_cursor_matches_bruteforce() {
+        let flats: Vec<i64> = [5, 6, 7, 9]
+            .into_iter()
+            .chain(20..30)
+            .chain([31, 32])
+            .collect();
+        let mut cursor = FlatCursor::default();
         for pos in 0..40i64 {
             let rank = flats.iter().filter(|&&f| f <= pos).count() as i64;
-            assert_eq!(cursor.rank(&runs, pos), rank, "rank at {pos}");
+            assert_eq!(cursor.rank(&flats, pos), rank, "rank at {pos}");
             assert_eq!(
-                cursor.is_flat(&runs, pos),
+                cursor.is_flat(&flats, pos),
                 flats.contains(&pos),
                 "membership at {pos}"
             );
             let mut after = flats.iter().copied().filter(|&f| f > pos);
             let next = after.next().unwrap_or(NO_FLAT);
-            assert_eq!(cursor.next_after(&runs, pos), next, "next after {pos}");
+            assert_eq!(cursor.next_after(&flats), next, "next after {pos}");
             let next2 = after.next().unwrap_or(NO_FLAT);
-            assert_eq!(cursor.next2_after(&runs, pos), next2, "second after {pos}");
+            assert_eq!(cursor.next2_after(&flats), next2, "second after {pos}");
         }
     }
 }

@@ -21,7 +21,7 @@
 //!   [`compressed::CompressedTable::solve_event_driven`]: between
 //!   breakpoints every sweep quantity is linear in `L`, so the builder
 //!   jumps lifespan event to event (stall ends, flat-tick onsets,
-//!   branch/regime switches) in `O(p·k log k)` time — `10^9`-tick tables
+//!   branch/regime switches) in `O(p·k)` time — `10^9`-tick tables
 //!   in about a second, bit-identical to the tick walk.
 //! * [`cache::TableCache`] — one solve per `(setup, resolution, p_max)`
 //!   serves a whole `(U/c, p)` sweep; independent configurations solve

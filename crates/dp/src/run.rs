@@ -44,8 +44,13 @@
 //! through the forward `RunCursor`, which is what the tick-walking
 //! reference build reads the previous level through. The event-driven
 //! build never decodes a compressed row: it reads the previous level as
-//! the `FlatRun`s it was built in, and compresses each level only once
-//! it is complete.
+//! the sorted flat-tick list it was built in, and compresses each level
+//! only once it is complete.
+//!
+//! Both builds hand `RunRow::compress` a level as one sorted `&[i64]` of
+//! flat ticks. It makes one pass over them: each run's anchor is the
+//! next flat, its step comes from the flat `LOOKAHEAD − 1` places further
+//! on, and the residual walk is a plain slice loop.
 
 /// Fixed-point fraction bits of [`ArithRun::step_fx`].
 const STEP_FRAC_BITS: u32 = 16;
@@ -66,48 +71,6 @@ const LOOKAHEAD: usize = 64;
 /// Hard cap on flats per run, keeping `len · step_fx` far from `i64`
 /// overflow for any step the estimator can produce.
 const LEN_CAP: u32 = 1 << 20;
-
-/// A maximal run of consecutive flat ticks `start, start+1, …,
-/// start+len−1`: the first-order form a level is built in
-/// ([`crate::event`]) and the input of [`RunRow::compress`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct FlatRun {
-    /// First flat tick of the run.
-    pub(crate) start: i64,
-    /// Number of consecutive flat ticks.
-    pub(crate) len: i64,
-}
-
-/// A flat's place in a [`FlatRun`] slice: the run holding it and its
-/// offset inside that run.
-#[derive(Clone, Copy, Debug, Default)]
-struct FlatPos {
-    run: usize,
-    off: i64,
-}
-
-impl FlatPos {
-    /// The flat tick at this position.
-    #[inline]
-    fn tick(&self, flats: &[FlatRun]) -> i64 {
-        flats[self.run].start + self.off
-    }
-
-    /// Moves `k` flats forward; the target flat must exist.
-    #[inline]
-    fn advance(&mut self, flats: &[FlatRun], mut k: i64) {
-        while k > 0 {
-            let left = flats[self.run].len - self.off;
-            if k < left {
-                self.off += k;
-                return;
-            }
-            k -= left;
-            self.run += 1;
-            self.off = 0;
-        }
-    }
-}
 
 /// One arithmetic run: `len` flat ticks starting at tick `start` (where
 /// the row takes the value implied by `rank_before`), advancing by the
@@ -217,67 +180,52 @@ impl RunRow {
         }
     }
 
-    /// Builds a [`RunRow`] from a level's flat runs (sorted, disjoint).
-    /// The compression is deterministic: a new run estimates its common
-    /// difference from the endpoint slope of up to [`LOOKAHEAD`] upcoming
-    /// flats, then extends greedily while each flat's residual fits an
-    /// `i8`; residual blocks that end up all-zero are elided.
-    pub(crate) fn compress(flats: &[FlatRun]) -> RunRow {
-        let total: i64 = flats.iter().map(|r| r.len).sum();
+    /// Builds a [`RunRow`] from a level's flat ticks (strictly
+    /// increasing). The compression is deterministic: a new run estimates
+    /// its common difference from the endpoint slope of up to
+    /// [`LOOKAHEAD`] upcoming flats, then extends greedily while each
+    /// flat's residual fits an `i8`; residual blocks that end up all-zero
+    /// are elided.
+    pub(crate) fn compress(flats: &[i64]) -> RunRow {
         let mut row = RunRow::default();
-        // `head` is the next flat to encode (flat number `row.count`);
-        // `ahead` trails it to the last flat of the lookahead window.
-        let mut head = FlatPos::default();
-        let mut ahead = FlatPos::default();
-        let mut ahead_idx: i64 = 0;
-        while row.count < total {
-            let start = head.tick(flats);
-            let m = (total - row.count).min(LOOKAHEAD as i64);
-            let last_idx = row.count + m - 1;
-            ahead.advance(flats, last_idx - ahead_idx);
-            ahead_idx = last_idx;
+        let mut i = 0;
+        while i < flats.len() {
+            let start = flats[i];
+            let m = (flats.len() - i).min(LOOKAHEAD);
             let step_fx = if m >= 2 {
-                let span = ahead.tick(flats) - start;
-                ((span << STEP_FRAC_BITS) / (m - 1)).max(1)
+                let span = flats[i + m - 1] - start;
+                ((span << STEP_FRAC_BITS) / (m as i64 - 1)).max(1)
             } else {
                 1 << STEP_FRAC_BITS
             };
-            let cap = ArithRun::len_cap(step_fx);
             let res_off = row.res.len() as u32;
-            let mut len: u32 = 0;
             let mut all_zero = true;
-            'run: while let Some(fr) = flats.get(head.run) {
-                while head.off < fr.len {
-                    if len == cap {
-                        break 'run;
-                    }
-                    let modeled = start + ((len as i64 * step_fx) >> STEP_FRAC_BITS);
-                    let r = fr.start + head.off - modeled;
-                    if r.abs() > RES_MAX {
-                        // This flat starts the next run.
-                        break 'run;
-                    }
-                    row.res.push(r as i8);
-                    all_zero &= r == 0;
-                    len += 1;
-                    head.off += 1;
+            let end = flats.len().min(i + ArithRun::len_cap(step_fx) as usize);
+            let mut len: u32 = 0;
+            for &f in &flats[i..end] {
+                let modeled = start + ((len as i64 * step_fx) >> STEP_FRAC_BITS);
+                let r = f - modeled;
+                if r.abs() > RES_MAX {
+                    // This flat starts the next run.
+                    break;
                 }
-                head.run += 1;
-                head.off = 0;
+                row.res.push(r as i8);
+                all_zero &= r == 0;
+                len += 1;
             }
             debug_assert!(len >= 1, "a run always covers its anchor flat");
-            let run = ArithRun {
+            row.runs.push(ArithRun {
                 start,
                 step_fx,
                 len,
                 res_off: if all_zero { NO_RES } else { res_off },
                 rank_before: row.count,
-            };
+            });
             if all_zero {
                 row.res.truncate(res_off as usize);
             }
-            row.count += len as i64;
-            row.runs.push(run);
+            row.count += i64::from(len);
+            i += len as usize;
         }
         row.runs.shrink_to_fit();
         row.res.shrink_to_fit();
@@ -399,14 +347,9 @@ impl RunCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::BuildRow;
 
     /// A jittery near-arithmetic sequence like the solver's skeletons
     /// produce: base gap drifting slowly, deterministic ±3 wobble.
-    fn compress_ticks(ticks: &[i64]) -> RunRow {
-        RunRow::compress(&BuildRow::from_ticks(0, ticks).runs)
-    }
-
     fn jittery(n: usize) -> Vec<i64> {
         let mut pos = 17i64;
         let mut out = Vec::with_capacity(n);
@@ -428,36 +371,17 @@ mod tests {
             vec![],
             vec![3, 4, 5, 6, 100, 200, 300, 5000], // mixed regimes
         ] {
-            let row = compress_ticks(&flats);
+            let row = RunRow::compress(&flats);
             assert_eq!(row.count(), flats.len() as i64);
             let back: Vec<i64> = row.iter().collect();
             assert_eq!(back, flats, "round-trip mismatch");
         }
     }
 
-    /// The encoding depends only on the flat ticks, not on how they are
-    /// split into `FlatRun`s: the lookahead and the residual walk cross
-    /// run boundaries at any offset.
-    #[test]
-    fn compression_ignores_flat_run_boundaries() {
-        let mut ticks: Vec<i64> = (100..400).collect(); // one long run
-        ticks.extend(jittery(3000).iter().map(|f| f + 500));
-        ticks.extend(10_000_000..10_000_090);
-        let merged = BuildRow::from_ticks(0, &ticks).runs;
-        assert!(merged.len() < ticks.len());
-        let singles: Vec<FlatRun> = ticks
-            .iter()
-            .map(|&t| FlatRun { start: t, len: 1 })
-            .collect();
-        let row = RunRow::compress(&merged);
-        assert_eq!(row, RunRow::compress(&singles));
-        assert_eq!(row.iter().collect::<Vec<_>>(), ticks);
-    }
-
     #[test]
     fn jittery_rows_compress_and_pure_rows_store_no_residuals() {
         let flats = jittery(50_000);
-        let row = compress_ticks(&flats);
+        let row = RunRow::compress(&flats);
         assert!(
             row.descriptors() * 20 < flats.len(),
             "{} runs for {} jittery flats — regime tracking broke",
@@ -468,7 +392,7 @@ mod tests {
         assert!(row.memory_bytes() < flats.len() * 2 + 4096);
 
         let arith: Vec<i64> = (0..10_000).map(|i| 3 + 11 * i).collect();
-        let row = compress_ticks(&arith);
+        let row = RunRow::compress(&arith);
         assert_eq!(row.descriptors(), 1, "pure progression should be one run");
         assert!(row.res.is_empty(), "pure runs must elide residuals");
     }
@@ -476,7 +400,7 @@ mod tests {
     #[test]
     fn rank_matches_bruteforce() {
         let flats = jittery(2000);
-        let row = compress_ticks(&flats);
+        let row = RunRow::compress(&flats);
         let max = *flats.last().unwrap() + 5;
         for pos in (0..max).step_by(13).chain(flats.iter().copied()) {
             let want = flats.iter().filter(|&&f| f <= pos).count() as i64;
@@ -487,7 +411,7 @@ mod tests {
     #[test]
     fn cursor_matches_bruteforce_with_retreats() {
         let flats = jittery(800);
-        let row = compress_ticks(&flats);
+        let row = RunRow::compress(&flats);
         let mut cur = RunCursor::default();
         let max = *flats.last().unwrap() + 3;
         let mut pos = 0i64;
@@ -505,7 +429,7 @@ mod tests {
     #[test]
     fn seek_after_positions_the_iterator() {
         let flats = jittery(1500);
-        let row = compress_ticks(&flats);
+        let row = RunRow::compress(&flats);
         for pos in [0i64, 16, 17, 18, 500, 20_000, i64::MAX / 8] {
             let mut it = row.iter();
             let rank = it.seek_after(pos);
@@ -520,7 +444,7 @@ mod tests {
     fn huge_gaps_do_not_overflow() {
         // Steps near the NO_FLAT scale: len caps keep j·step_fx in range.
         let flats = vec![0i64, 1 << 40, 2 << 40, 3 << 40, (3 << 40) + 5];
-        let row = compress_ticks(&flats);
+        let row = RunRow::compress(&flats);
         let back: Vec<i64> = row.iter().collect();
         assert_eq!(back, flats);
         assert_eq!(row.rank_le(1 << 41), 3);

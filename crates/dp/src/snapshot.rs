@@ -302,6 +302,7 @@ impl CompressedTable {
             max_interrupts: parts.max_interrupts,
             rows,
             events: parts.events,
+            event_kinds: None,
         })
     }
 }

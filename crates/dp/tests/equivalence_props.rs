@@ -374,9 +374,41 @@ fn certificate_holds_at_ten_million_ticks() {
     assert_eq!(certify(&table, &points), Ok(()));
 }
 
+/// FNV-1a over every field of `to_parts()`: a fixed digest of the stored
+/// rows, residual bytes and event count.
+fn parts_digest(table: &CompressedTable) -> u64 {
+    let parts = table.to_parts();
+    let mut words = vec![
+        parts.setup.get().to_bits(),
+        u64::from(parts.ticks_per_setup),
+        parts.max_ticks as u64,
+        u64::from(parts.max_interrupts),
+        parts.events,
+    ];
+    for row in &parts.rows {
+        words.push(row.zero_until as u64);
+        for run in &row.runs {
+            words.extend([
+                run.start as u64,
+                run.step_fx as u64,
+                u64::from(run.len),
+                u64::from(run.has_residuals),
+            ]);
+        }
+        words.extend(row.residuals.iter().map(|&r| r as u64));
+    }
+    words
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
 /// The `(Q=32, p=16, 10⁹ ticks)` acceptance table, certified with 20,000
-/// sampled lifespans per level. Takes seconds in release, far longer in
-/// debug, so it runs on request:
+/// sampled lifespans per level, and its stored form pinned by a digest
+/// recorded before the builder kept levels as flat tick lists. Takes
+/// seconds in release, far longer in debug, so it runs on request:
 /// `cargo test --release -p cyclesteal-dp --test equivalence_props -- --ignored --nocapture`.
 #[test]
 #[ignore = "release-mode check at the 10⁹-tick acceptance point"]
@@ -386,12 +418,14 @@ fn certificate_holds_at_a_billion_ticks() {
     let solved = start.elapsed();
     let points = certificate_points(&table, 20_000, 7);
     let result = certify(&table, &points);
+    let digest = parts_digest(&table);
     eprintln!(
-        "certificate at 10^9 ticks: {} points, {} failed, solve {:.2} s, certify {:.2} s",
+        "certificate at 10^9 ticks: {} points, {} failed, solve {:.2} s, certify {:.2} s, digest {digest:#018x}",
         points.len(),
         usize::from(result.is_err()),
         solved.as_secs_f64(),
         (start.elapsed() - solved).as_secs_f64()
     );
     assert_eq!(result, Ok(()));
+    assert_eq!(digest, 0xd84e_f688_fd71_4217, "stored rows moved");
 }
