@@ -8,7 +8,6 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-#![forbid(unsafe_code)]
 
 use std::fs;
 use std::io::Write;

@@ -339,9 +339,10 @@ impl TableCache {
     /// sink phases are timed and discarded. Profiling never changes
     /// solver output — the clock is read only *between* phases — so
     /// instrumented solves stay bit-identical (pinned by the
-    /// `profiled_solves_are_bit_identical` test and the determinism
-    /// lint, which keeps `Instant::now` out of this crate: production
-    /// clocks are injected by `cyclesteal-serve`).
+    /// `profiled_solves_are_bit_identical` test and the crate's
+    /// `clippy::disallowed_methods` deny, which keeps `Instant::now` out
+    /// of this crate: production clocks are injected by
+    /// `cyclesteal-serve`).
     pub fn set_profiling(&self, clock: Option<Arc<dyn Clock>>, sink: Option<ProfileSink>) {
         *self.profile_clock.lock() = clock;
         *self.profile_sink.lock() = sink;

@@ -43,8 +43,8 @@
 //! the zero edge (`BuildRow`). The builder's reads of the row under
 //! construction, and the next level's reads of the completed row, go
 //! through a forward-only `FlatCursor`: a single index, the number of
-//! flats `≤` the latest query position, from which rank, membership,
-//! next-flat and second-next-flat are each one slice read, `O(1)`
+//! flats `≤` the latest query position, from which rank, membership
+//! and next-flat are each one slice read, `O(1)`
 //! amortized. No read ever decodes an arithmetic run. Each completed
 //! level feeds the second-order compressor of [`crate::run`] as the same
 //! slice; the compressed row is what the table stores.
@@ -182,13 +182,6 @@ impl FlatCursor {
     #[inline]
     fn next_after(&self, flats: &[i64]) -> i64 {
         flats.get(self.idx).copied().unwrap_or(NO_FLAT)
-    }
-
-    /// The second-smallest flat tick past the last [`Self::rank`]
-    /// position, or [`NO_FLAT`].
-    #[inline]
-    fn next2_after(&self, flats: &[i64]) -> i64 {
-        flats.get(self.idx + 1).copied().unwrap_or(NO_FLAT)
     }
 }
 
@@ -421,19 +414,33 @@ pub(crate) fn build_level_events(prev: &BuildRow, n: i64, q: i64) -> (BuildRow, 
                         events[OWN_FLAT_ONSET] += 1;
                         continue;
                     }
-                    // With np == s+2 the second prev flat past s+1 is the
-                    // one after s+2; read it only then.
-                    if np == s + 2
-                        && pc.next2_after(&prev.flats) != s + 3
-                        && nc > s + 3
-                        && s + 2 < tau
-                    {
+                    if np == s + 2 && nc > s + 3 && s + 2 < tau {
                         // The window edge moves onto a flat of the
                         // completed level: h is locally flat there, so
-                        // the frontier advances exactly twice in one tick
-                        // (h(s+2) = h(s+1) = τ+1, h(s+3) = τ+2).
-                        // A = prev(s+2) = prev(s+1); B reads the generic
-                        // cur(s+3) = cur(s+1) + 2.
+                        // the frontier passes s+1 and s+2 in one tick
+                        // (h(s+2) = h(s+1) = τ+1). A = prev(s+2) =
+                        // prev(s+1); B reads the generic cur(s+3) =
+                        // cur(s+1) + 2.
+                        //
+                        // Exact whether or not s+3 is a prev flat too.
+                        // Write τ' = τ+1, A(x) = prev(x) (nondecreasing)
+                        // and B(x) = τ' − x − 1 + cur(x+1)
+                        // (nonincreasing, cur being 1-Lipschitz); the
+                        // sweep passes x+1 iff h(x+1) ≤ τ' iff
+                        // A(x+1) ≤ B(x). If s+3 is not a prev flat,
+                        // h(s+3) = τ'+1, the frontier stops at s+2 and
+                        // the tick is max(last, A(s+2), B(s+2)) as
+                        // written. If s+3 is one, h(s+3) = τ', so
+                        // A(s+3) = B(s+2) = b = p1 and the frontier
+                        // stops at some sf ≥ s+3, where
+                        // p1 = A(s+3) ≤ A(sf) ≤ B(sf−1) ≤ B(s+2) = p1
+                        // and the left candidate is at most B(sf) ≤ p1:
+                        // the tick is max(last, p1), the same value.
+                        // Then s+2 is behind the frontier, but h(s+3) =
+                        // τ' makes the next iteration's d = 0 with
+                        // s+2 < s_cap, which only a single exact step
+                        // accepts; its sweep passes s+3..=sf again and
+                        // ends where the tick walk does.
                         let b = (tau + 1) - (s + 3) + (c1 + 2);
                         let best = last.max(p1.max(b));
                         emit_tick(&mut cur, &mut l, &mut last, best);
@@ -534,9 +541,9 @@ mod tests {
         );
     }
 
-    /// FlatCursor rank/membership/next/second-next queries against a
-    /// brute-force reference over irregular flats: isolated ticks, runs
-    /// of consecutive ticks and the end of the slice.
+    /// FlatCursor rank/membership/next queries against a brute-force
+    /// reference over irregular flats: isolated ticks, runs of
+    /// consecutive ticks and the end of the slice.
     #[test]
     fn flat_cursor_matches_bruteforce() {
         let flats: Vec<i64> = [5, 6, 7, 9]
@@ -553,11 +560,8 @@ mod tests {
                 flats.contains(&pos),
                 "membership at {pos}"
             );
-            let mut after = flats.iter().copied().filter(|&f| f > pos);
-            let next = after.next().unwrap_or(NO_FLAT);
+            let next = flats.iter().copied().find(|&f| f > pos).unwrap_or(NO_FLAT);
             assert_eq!(cursor.next_after(&flats), next, "next after {pos}");
-            let next2 = after.next().unwrap_or(NO_FLAT);
-            assert_eq!(cursor.next2_after(&flats), next2, "second after {pos}");
         }
     }
 }

@@ -1,9 +1,9 @@
 //! Solver phase profiling over an injected [`Clock`].
 //!
-//! The determinism lint bans `Instant::now` in this crate, so phase
+//! The determinism lints ban `Instant::now` in this crate, so phase
 //! timings go through `cyclesteal-obs`'s [`Clock`] trait: production
 //! callers (the serving layer, the benches) inject a wall-backed clock
-//! from *outside* the determinism fence, tests inject the logical
+//! from crates outside their scope, tests inject the logical
 //! clock, and unprofiled solves don't read any clock at all. The clock
 //! is only ever read **between** phases — never inside the build
 //! loops — so profiling cannot perturb solver output: a profiled solve

@@ -1,14 +1,16 @@
 //! Injectable monotonic clock.
 //!
-//! The determinism lint (`lint.toml [determinism]`) bans `Instant::now`
-//! and `SystemTime` from the solver crates, and this crate is inside
-//! that scope on purpose: `obs` itself never reads a wall clock. Code
-//! that wants timings takes a `&dyn Clock`, and the *production* impl
-//! (wrapping `std::time::Instant`) lives in `cyclesteal-serve`
-//! (`serve::obs::WallClock`), outside the determinism fence. Tests and
-//! solver crates use [`LogicalClock`] (deterministic, manually or
+//! The determinism rules (clippy's `disallowed_methods` /
+//! `disallowed_types`, denied at the root of this crate and of the
+//! solver crates; see `docs/INVARIANTS.md`) ban `Instant::now` and
+//! `SystemTime`, and this crate is inside that scope on purpose: `obs`
+//! itself never reads a wall clock. Code that wants timings takes a
+//! `&dyn Clock`, and the *production* impl (wrapping
+//! `std::time::Instant`) lives in `cyclesteal-serve`
+//! (`serve::obs::WallClock`), outside that scope. Tests and solver
+//! crates use [`LogicalClock`] (deterministic, manually or
 //! step-advanced) or [`NoopClock`] (free, always zero), so instrumented
-//! solves stay bit-identical and need zero lint waivers.
+//! solves stay bit-identical and need zero waivers.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

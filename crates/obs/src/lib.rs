@@ -1,8 +1,9 @@
 //! Zero-dependency observability for the cyclesteal workspace.
 //!
 //! Three pieces, all free of wall clocks, unseeded randomness and
-//! iteration-order-unstable collections (this crate sits inside the
-//! determinism *and* panic-policy lint fences — see `lint.toml`):
+//! iteration-order-unstable collections (this crate's root denies the
+//! determinism *and* panic-policy clippy lints — see
+//! `docs/INVARIANTS.md`):
 //!
 //! - [`metrics`]: a [`Registry`] of named counters, gauges and
 //!   log₂-bucket histograms with lock-free atomic recording, label
@@ -17,9 +18,20 @@
 //!   deterministic [`LogicalClock`], and the default [`NoopClock`]
 //!   keeps uninstrumented solves bit-identical for free.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+// Panic policy: a request ends in a value or a typed error, never a panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// Determinism: the wall-clock, sleep, hash-collection and unseeded-hash
+// bans listed in crates/clippy.toml (see docs/INVARIANTS.md).
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod clock;
 pub mod metrics;

@@ -885,7 +885,17 @@ impl Broker {
             RequestBody::Batch(queries) => {
                 validate(queries)?;
                 obs.span(trace_id, "broker.admission", t_request);
-                group_by_grid(queries)
+                let (groups, group_of) = group_by_grid(queries);
+                // A grid's covering takes the max p of one query and the
+                // max L of another, so it can demand more work than any
+                // query passed alone; the error names its first query.
+                for (g, group) in groups.iter().enumerate() {
+                    if let Some(reason) = over_work_cap(&group.covering) {
+                        let first = group_of.iter().position(|&i| i == g).unwrap_or(0);
+                        return Err(ServeError::invalid_query(first, reason));
+                    }
+                }
+                (groups, group_of)
             }
             RequestBody::Sweep(sweep) => {
                 let covering = sweep_covering_query(sweep)?;
@@ -1176,10 +1186,9 @@ fn group_by_grid(queries: &[GuaranteeQuery]) -> (Vec<Group>, Vec<usize>) {
     (groups, group_of)
 }
 
-/// Largest grid extent (in ticks) one query may demand —
-/// ~16× the `10⁹`-tick acceptance point, still a sub-minute solve.
-/// Solve cost scales with the tick count, so without this cap a single
-/// 24-byte frame could demand an effectively unbounded solve.
+/// Largest grid extent (in ticks) one query may demand. Like the two
+/// caps below it validates one field of outside input; what bounds the
+/// solve itself is [`MAX_QUERY_SOLVE_WORK`].
 pub const MAX_QUERY_TICKS: i64 = 1 << 34;
 
 /// Largest interrupt budget one query may demand (one solved level per
@@ -1188,6 +1197,48 @@ pub const MAX_QUERY_INTERRUPTS: u32 = 1 << 12;
 
 /// Largest grid resolution one query may demand.
 pub const MAX_QUERY_TICKS_PER_SETUP: u32 = 1 << 20;
+
+/// Largest estimated solve work, `p · √(p · Q · ticks)`, that one
+/// table solve may demand: ~16× the `10⁹`-tick acceptance point
+/// `(Q=32, p=16)`, which is 1.1·10⁷.
+///
+/// Each field may sit under its cap while their product does not: at
+/// the three caps one query estimates to 3.5·10¹³, weeks of solving.
+/// Measured near this bound (release build, 2 vCPUs, solved through a
+/// `TableCache`, which builds 1.25× the asked extent):
+/// `(Q=1, p=4096, 4.9·10⁵ ticks)` 17 s and 254 MB peak RSS;
+/// `(Q=4096, p=16, 2³⁰)` 9.8 s and 449 MB; `(Q=2²⁰, p=1, 1.7·10¹⁰)`,
+/// at the tick cap, 6.2 s and 1.6 GB.
+pub const MAX_QUERY_SOLVE_WORK: f64 = 1.8e8;
+
+/// The tick extent `q` asks its grid's table to cover.
+fn query_ticks(q: &GuaranteeQuery) -> f64 {
+    q.lifespan.get() / q.setup.get() * f64::from(q.ticks_per_setup)
+}
+
+/// Estimated work of solving the table that covers `q`:
+/// `p · √(p · Q · ticks)`. The solver emits 4–5.5 events per unit of
+/// this estimate, at 15–25 ns each, on every grid measured from
+/// `(Q=1, p=16, 10⁷)` to `(Q=1, p=4096, 1.3·10⁸)`: events grow as
+/// `√ticks` and `√Q` per level, and as `p^1.5` over the levels.
+fn solve_work(q: &GuaranteeQuery) -> f64 {
+    let p = f64::from(q.interrupts);
+    p * (p * f64::from(q.ticks_per_setup) * query_ticks(q)).sqrt()
+}
+
+/// Why the table covering `q` is over [`MAX_QUERY_SOLVE_WORK`], if it
+/// is.
+fn over_work_cap(q: &GuaranteeQuery) -> Option<String> {
+    let work = solve_work(q);
+    (work > MAX_QUERY_SOLVE_WORK).then(|| {
+        format!(
+            "(Q={}, p={}, {:.0} ticks) estimates to solve work {work:.2e}, over the broker cap {MAX_QUERY_SOLVE_WORK:.1e}",
+            q.ticks_per_setup,
+            q.interrupts,
+            query_ticks(q)
+        )
+    })
+}
 
 fn validate(queries: &[GuaranteeQuery]) -> Result<(), ServeError> {
     for (index, q) in queries.iter().enumerate() {
@@ -1208,17 +1259,16 @@ fn validate(queries: &[GuaranteeQuery]) -> Result<(), ServeError> {
         } else if !q.lifespan.get().is_finite() || q.lifespan.is_negative() {
             Some(format!("lifespan {} must be nonnegative", q.lifespan))
         } else {
-            // Solve cost scales with the tick extent, so the magnitude
-            // cap is on ticks, not raw lifespan: a tiny setup charge at
-            // a huge lifespan is just as expensive.
-            let ticks = q.lifespan.get() / q.setup.get() * q.ticks_per_setup as f64;
+            // The magnitude cap is on ticks, not raw lifespan: a tiny
+            // setup charge at a huge lifespan is just as expensive.
+            let ticks = query_ticks(q);
             if ticks > MAX_QUERY_TICKS as f64 {
                 Some(format!(
                     "lifespan {} at this resolution is {ticks:.0} ticks, over the broker cap {MAX_QUERY_TICKS}",
                     q.lifespan
                 ))
             } else {
-                None
+                over_work_cap(q)
             }
         };
         if let Some(reason) = reason {
@@ -1643,23 +1693,35 @@ mod tests {
     #[test]
     fn oversized_queries_are_rejected_before_solving() {
         // A 24-byte frame must not be able to demand an unbounded
-        // solve: the caps on tick extent, interrupts and resolution
-        // all reject before any table is built.
+        // solve: the caps on tick extent, interrupts and resolution,
+        // and on their product's solve work, all reject before any
+        // table is built.
         let broker = Broker::new(BrokerConfig::default()).unwrap();
         let too_big = [
             q(1.0, 8, 1, 1e300),                            // astronomic lifespan
             q(1e-12, 8, 1, 1e6),                            // tiny setup ⇒ huge tick count
             q(1.0, 8, MAX_QUERY_INTERRUPTS + 1, 10.0),      // interrupt budget
             q(1.0, MAX_QUERY_TICKS_PER_SETUP + 1, 1, 10.0), // resolution
+            q(1.0, 1 << 20, 16, 256.0),                     // work: (Q=2²⁰, p=16, 2²⁸)
+            q(1.0, 1, MAX_QUERY_INTERRUPTS, 1.26e8),        // work: (Q=1, p=4096, 1.3·10⁸)
         ];
         for (i, query) in too_big.iter().enumerate() {
-            assert!(broker.query_batch(&[*query]).is_err(), "cap case {i}");
+            let err = broker.query_batch(&[*query]).unwrap_err();
+            assert_eq!(err.code, ErrorCode::InvalidQuery, "cap case {i}");
         }
+        // Two queries that each pass alone but share a grid: the
+        // covering table takes p from one and L from the other.
+        let merged = [q(1.0, 1, MAX_QUERY_INTERRUPTS, 10.0), q(1.0, 1, 1, 1e9)];
+        assert!(super::validate(&merged).is_ok());
+        let err = broker.query_batch(&merged).unwrap_err();
+        assert_eq!(err.code, ErrorCode::InvalidQuery);
+        assert!(err.message.contains("query 0"), "names the group: {err}");
         assert_eq!(broker.cache().stats().misses, 0, "nothing was solved");
-        // The acceptance-scale deep query (10⁹ ticks) stays well inside
-        // the caps.
+        // The acceptance-scale deep query (Q=32, p=16, 10⁹ ticks) is
+        // admitted, ~16× under the work cap.
         let deep = q(1.0, 32, 16, 31_250_000.0);
         assert!(super::validate(&[deep]).is_ok());
+        assert!(super::solve_work(&deep) < MAX_QUERY_SOLVE_WORK / 15.0);
     }
 
     #[test]

@@ -236,10 +236,15 @@ pub(crate) fn read_delay() -> Option<Duration> {
 /// The solve-panic injection, consulted by the broker's flight leader
 /// right before a solve. The panic is contained by the flight
 /// machinery — it must never escape [`crate::Broker::query_batch`].
+#[cfg_attr(
+    clippy,
+    expect(
+        clippy::panic,
+        reason = "this panic IS the injected fault; the chaos suite proves the flight machinery contains it"
+    )
+)]
 pub(crate) fn maybe_panic_solve() {
     if should(FaultPoint::PanicSolve) {
-        // lint:allow(panic-macro): this panic IS the injected fault — the
-        // chaos suite proves the flight machinery contains it
         panic!("injected solve panic (fault plan)");
     }
 }

@@ -2,8 +2,8 @@
 //! metrics/trace hub every pipeline stage records into, and the
 //! server-assigned trace-id generator.
 //!
-//! The `cyclesteal-obs` crate itself is deterministic (it sits inside
-//! the determinism lint fence and never reads wall time); the serving
+//! The `cyclesteal-obs` crate itself is deterministic (it denies the
+//! determinism lints and never reads wall time); the serving
 //! layer is where real time is allowed, so the production
 //! [`WallClock`] lives here and is *injected* into the broker, the
 //! cache profiler and the span journal. Tests inject

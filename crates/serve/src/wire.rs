@@ -91,6 +91,13 @@
 //! flag explicitly, so a client can decide *back off and retry* versus
 //! *fix the request* without parsing prose (see [`crate::errors`]).
 
+// Wire safety: the codec never narrows or reinterprets silently.
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
+
 use crate::broker::{
     BrokerStats, EndpointStats, GuaranteeAnswer, GuaranteeQuery, Request, RequestBody,
     ResilienceStats, SweepQuery,
@@ -162,8 +169,13 @@ pub fn is_corrupt_frame(err: &io::Error) -> bool {
 /// catch.
 pub(crate) fn frame_bytes(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + payload.len());
-    // lint:allow(lossy-cast): response payloads answer requests that
-    // already passed read_frame's 64 MiB cap, so the length fits u32
+    #[cfg_attr(
+        clippy,
+        expect(
+            clippy::cast_possible_truncation,
+            reason = "response payloads answer requests that already passed read_frame's 64 MiB cap, so the length fits u32"
+        )
+    )]
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
@@ -334,9 +346,13 @@ pub fn encode_request(body: &RequestBody<'_>, deadline_us: u64, trace_id: u64) -
     out.extend_from_slice(&deadline_us.to_le_bytes());
     match body {
         RequestBody::Batch(queries) => {
-            // lint:allow(lossy-cast): a batch whose count wraps u32 is a >96 GiB
-            // payload — write_frame's 64 MiB cap rejects it before it reaches
-            // the wire
+            #[cfg_attr(
+                clippy,
+                expect(
+                    clippy::cast_possible_truncation,
+                    reason = "a batch whose count wraps u32 is a >96 GiB payload; write_frame's 64 MiB cap rejects it before it reaches the wire"
+                )
+            )]
             out.extend_from_slice(&(queries.len() as u32).to_le_bytes());
             for q in queries.iter() {
                 out.extend_from_slice(&q.setup.get().to_bits().to_le_bytes());
@@ -438,8 +454,13 @@ pub fn decode_request(payload: &[u8], parsed_at: Instant) -> io::Result<Request<
 pub fn encode_runs(runs: &[ValueRun]) -> Vec<u8> {
     let mut out = Vec::with_capacity(5 + runs.len() * 24);
     out.push(STATUS_OK);
-    // lint:allow(lossy-cast): the server caps sweep responses at
-    // MAX_SWEEP_RUNS (~2.8M) before encoding, far inside u32
+    #[cfg_attr(
+        clippy,
+        expect(
+            clippy::cast_possible_truncation,
+            reason = "the server caps sweep responses at MAX_SWEEP_RUNS (~2.8M) before encoding, far inside u32"
+        )
+    )]
     out.extend_from_slice(&(runs.len() as u32).to_le_bytes());
     for run in runs {
         out.extend_from_slice(&run.start.to_le_bytes());
@@ -477,8 +498,13 @@ pub fn decode_runs(payload: &[u8]) -> io::Result<Vec<ValueRun>> {
 pub fn encode_answers(answers: &[GuaranteeAnswer]) -> Vec<u8> {
     let mut out = Vec::with_capacity(5 + answers.len() * 16);
     out.push(STATUS_OK);
-    // lint:allow(lossy-cast): answers mirror a decoded batch whose count
-    // already fit u32 (decode_request checked it against the frame)
+    #[cfg_attr(
+        clippy,
+        expect(
+            clippy::cast_possible_truncation,
+            reason = "answers mirror a decoded batch whose count already fit u32 (decode_request checked it against the frame)"
+        )
+    )]
     out.extend_from_slice(&(answers.len() as u32).to_le_bytes());
     for a in answers {
         out.extend_from_slice(&a.value.get().to_bits().to_le_bytes());
@@ -565,13 +591,23 @@ pub fn encode_stats(stats: &BrokerStats) -> Vec<u8> {
     ] {
         out.extend_from_slice(&v.to_le_bytes());
     }
-    // lint:allow(lossy-cast): the endpoint list is the server's
-    // per-connection counter registry — a handful of entries, never 2³²
+    #[cfg_attr(
+        clippy,
+        expect(
+            clippy::cast_possible_truncation,
+            reason = "the endpoint list is the server's per-connection counter registry: a handful of entries, never 2^32"
+        )
+    )]
     out.extend_from_slice(&(stats.endpoints.len() as u32).to_le_bytes());
     for ep in &stats.endpoints {
         let name = ep.endpoint.as_bytes();
-        // lint:allow(lossy-cast): min(255) clamps the length into u8
-        // range on this same expression
+        #[cfg_attr(
+            clippy,
+            expect(
+                clippy::cast_possible_truncation,
+                reason = "min(255) clamps the length into u8 range on this same expression"
+            )
+        )]
         out.push(name.len().min(255) as u8);
         out.extend_from_slice(&name[..name.len().min(255)]);
         for v in [ep.requests, ep.queries, ep.coalesced, ep.p50_us, ep.p99_us] {

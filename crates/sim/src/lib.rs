@@ -34,7 +34,9 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-#![forbid(unsafe_code)]
+// Determinism: the wall-clock, sleep, hash-collection and unseeded-hash
+// bans listed in crates/clippy.toml (see docs/INVARIANTS.md).
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod batch;
 pub mod driver;

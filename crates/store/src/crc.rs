@@ -88,7 +88,7 @@ mod tests {
     #[test]
     fn slicing_matches_reference_on_all_alignments() {
         let data: Vec<u8> = (0..1021u32)
-            .map(|i| (i.wrapping_mul(31) >> 2) as u8)
+            .map(|i| (i.wrapping_mul(31) >> 2).to_le_bytes()[0])
             .collect();
         for start in 0..8 {
             for end in [start, start + 1, start + 7, start + 64, data.len()] {

@@ -73,7 +73,21 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-#![forbid(unsafe_code)]
+// Panic policy: a request ends in a value or a typed error, never a panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// Wire safety: the snapshot codec never narrows or reinterprets silently.
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
 
 pub mod crc;
 
@@ -195,11 +209,13 @@ fn push_i64(out: &mut Vec<u8>, v: i64) {
 
 /// Appends one framed section: `len`, payload, CRC-32 of the payload.
 fn push_section(out: &mut Vec<u8>, payload: &[u8]) {
-    // lint:allow(lossy-cast): a section wraps u32 only past ~200
-    // million run descriptors (or 4 GiB of residuals) in one row, far
-    // beyond any table the compressor emits — and a wrapped length
-    // cannot misparse silently, the CRC framing makes an oversized
-    // section fail closed at load
+    #[cfg_attr(
+        clippy,
+        expect(
+            clippy::cast_possible_truncation,
+            reason = "a section wraps u32 only past ~200 million run descriptors (or 4 GiB of residuals) in one row, far beyond any table the compressor emits, and the CRC framing makes an oversized section fail closed at load"
+        )
+    )]
     push_u32(out, payload.len() as u32);
     out.extend_from_slice(payload);
     push_u32(out, crc::crc32(payload));
@@ -219,9 +235,13 @@ fn encode_row(row: &RowParts) -> Vec<u8> {
         p.push(u8::from(r.has_residuals));
     }
     for &b in &row.residuals {
-        // lint:allow(lossy-cast): two's-complement byte
-        // reinterpret of the i8 residual, inverted by the
-        // matching `as i8` in decode_row
+        #[cfg_attr(
+            clippy,
+            expect(
+                clippy::cast_sign_loss,
+                reason = "two's-complement byte reinterpret of the i8 residual, inverted by the matching `as i8` in decode_row"
+            )
+        )]
         p.push(b as u8);
     }
     p
@@ -241,8 +261,13 @@ pub fn to_bytes(table: &CompressedTable) -> Vec<u8> {
     push_i64(&mut header, parts.max_ticks);
     header.push(TAG_RUNS);
     push_u64(&mut header, parts.events);
-    // lint:allow(lossy-cast): the row count is max_interrupts + 1 and
-    // max_interrupts is itself a u32 header field two lines up
+    #[cfg_attr(
+        clippy,
+        expect(
+            clippy::cast_possible_truncation,
+            reason = "the row count is max_interrupts + 1 and max_interrupts is itself a u32 header field above"
+        )
+    )]
     push_u32(&mut header, parts.rows.len() as u32);
     push_section(&mut out, &header);
 
@@ -359,11 +384,16 @@ fn decode_row(payload: &[u8], level: usize) -> Result<RowParts, StoreError> {
             has_residuals: c[20] != 0,
         })
         .collect();
+    #[cfg_attr(
+        clippy,
+        expect(
+            clippy::cast_possible_wrap,
+            reason = "inverse of encode_row's `as u8`: the same two's-complement byte reinterpret"
+        )
+    )]
     let residuals = r
         .take(res_count, "residual stream")?
         .iter()
-        // lint:allow(lossy-cast): inverse of encode_row's
-        // `as u8` — the same two's-complement byte reinterpret
         .map(|&b| b as i8)
         .collect();
     let row = RowParts {

@@ -45,7 +45,6 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-#![forbid(unsafe_code)]
 
 pub use cyclesteal_adversary as adversary;
 pub use cyclesteal_core as core;
